@@ -21,6 +21,7 @@
 //! registers would overestimate those minima by up to `2^r×`.
 
 use crate::params::HmhParams;
+use crate::registers::{self, with_lanes, Lane};
 use crate::sketch::HyperMinHash;
 use hmh_hll::estimators::{estimate as hll_estimate, EstimatorKind};
 use hmh_math::KahanSum;
@@ -70,11 +71,8 @@ impl CardinalityEstimator {
 pub fn tail_estimate(sketch: &HyperMinHash) -> f64 {
     let params = sketch.params();
     let m = params.num_buckets() as f64;
-    let mut sum = KahanSum::new();
-    for bucket in 0..params.num_buckets() {
-        sum.add(reconstruct_min(params, sketch.register(bucket)));
-    }
-    let total = sum.total();
+    let minima = Minima::new(params);
+    let total = with_lanes!(sketch.lanes(), |v| minima.sum(v));
     if total == 0.0 {
         f64::INFINITY
     } else {
@@ -82,19 +80,57 @@ pub fn tail_estimate(sketch: &HyperMinHash) -> f64 {
     }
 }
 
-/// Reconstruct a bucket's (within-bucket) minimum from its register, to
-/// mantissa precision. Empty buckets reconstruct as 1.0 — the pseudocode's
-/// `(0,0) → 2^0·(1+0) = 1` behaviour, harmless in the tail regime where
-/// empties have vanishing probability.
-fn reconstruct_min(params: HmhParams, register: Option<(u32, u32)>) -> f64 {
-    let Some((counter, mantissa)) = register else {
-        return 1.0;
-    };
-    let r_values = params.mantissa_values() as f64;
-    if counter < params.cap() {
-        2f64.powi(-(counter as i32)) * (1.0 + (f64::from(mantissa) + 0.5) / r_values)
-    } else {
-        2f64.powi(-(params.cap() as i32 - 1)) * (f64::from(mantissa) + 0.5) / r_values
+/// Reconstructs a bucket's (within-bucket) minimum from its register, to
+/// mantissa precision, with the per-counter powers of two tabulated.
+struct Minima {
+    params: HmhParams,
+    /// `scale[c] = 2^-c` for `c < cap`; `scale[cap] = 2^-(cap−1)`.
+    scale: Vec<f64>,
+    r_values: f64,
+}
+
+impl Minima {
+    fn new(params: HmhParams) -> Self {
+        let cap = params.cap();
+        let scale = (0..=cap)
+            .map(|c| if c < cap { 2f64.powi(-(c as i32)) } else { 2f64.powi(-(cap as i32 - 1)) })
+            .collect();
+        Self { params, scale, r_values: params.mantissa_values() as f64 }
+    }
+
+    /// `Σ rᵢ` over the registers, compensated, in bucket order.
+    fn sum<L: Lane>(&self, lanes: &[L]) -> f64 {
+        let mut sum = KahanSum::new();
+        for &lane in lanes {
+            sum.add(self.of_lane(lane.into()));
+        }
+        sum.total()
+    }
+
+    /// The minimum of a rank-space lane. Empty buckets reconstruct as
+    /// 1.0 — the pseudocode's `(0,0) → 2^0·(1+0) = 1` behaviour, harmless
+    /// in the tail regime where empties have vanishing probability.
+    #[inline]
+    fn of_lane(&self, lane: u32) -> f64 {
+        // The rank map is its own inverse: it takes a lane back to a word.
+        match registers::rank(self.params, lane) {
+            0 => 1.0,
+            word => {
+                let (counter, mantissa) = registers::unpack(self.params, word);
+                self.of(counter, mantissa)
+            }
+        }
+    }
+
+    /// The minimum of an occupied register `(counter, mantissa)`.
+    #[inline]
+    fn of(&self, counter: u32, mantissa: u32) -> f64 {
+        let scale = self.scale[counter as usize];
+        if counter < self.params.cap() {
+            scale * (1.0 + (f64::from(mantissa) + 0.5) / self.r_values)
+        } else {
+            scale * (f64::from(mantissa) + 0.5) / self.r_values
+        }
     }
 }
 
@@ -194,7 +230,7 @@ mod tests {
         let digest = hmh_hash::Digest128::from_u128(0b0001_1011_0110_1010u128 << 112);
         let (c, s) = digest.rho_sigma(0, params.cap(), params.r());
         let v_true = 0b0001_1011_0110_1010 as f64 / 65536.0;
-        let v_rec = reconstruct_min(params, Some((c, s as u32)));
+        let v_rec = Minima::new(params).of(c, s as u32);
         assert!(
             (v_rec - v_true).abs() / v_true < 2f64.powi(-(params.r() as i32)) * 1.5,
             "true {v_true}, reconstructed {v_rec}"

@@ -16,16 +16,18 @@
 //! 17+8·W  8     xxHash64 of bytes [0, 17+8·W) with seed 0
 //! ```
 //!
-//! The trailing digest catches truncation and bit rot; parameter and
-//! padding validation catches adversarial or corrupt payloads without
-//! panicking.
+//! The trailing digest catches truncation and bit rot; parameter, padding
+//! and register validation catches adversarial or corrupt payloads without
+//! panicking. A sketch lives in memory as rank-space lanes
+//! ([`crate::registers`]); this module is the only code that knows the
+//! bit-packed layout.
 
 use crate::error::HmhError;
 use crate::params::HmhParams;
+use crate::registers::{self, with_lanes, Lane, Lanes};
 use crate::sketch::HyperMinHash;
 use hmh_hash::xxhash::xxh64;
 use hmh_hash::{HashAlgorithm, RandomOracle};
-use hmh_hll::registers::BitPacked;
 
 /// Magic bytes of the format.
 pub const MAGIC: [u8; 4] = *b"HMH1";
@@ -129,11 +131,17 @@ pub fn algorithm_from_byte(b: u8) -> Result<HashAlgorithm, FormatError> {
     })
 }
 
+/// Bytes of packed register words for `params`: `⌈2^p·(q + r) / 64⌉`
+/// little-endian `u64`s.
+fn payload_len(params: HmhParams) -> usize {
+    let bits = (params.num_buckets() as u64) * u64::from(params.word_bits());
+    bits.div_ceil(64) as usize * 8
+}
+
 /// Encode a sketch to the binary format.
 pub fn encode(sketch: &HyperMinHash) -> Vec<u8> {
     let params = sketch.params();
-    let words = sketch.packed().raw_words();
-    let mut out = Vec::with_capacity(17 + words.len() * 8 + 8);
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len(params) + DIGEST_LEN);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(params.p() as u8);
@@ -141,12 +149,42 @@ pub fn encode(sketch: &HyperMinHash) -> Vec<u8> {
     out.push(params.r() as u8);
     out.push(algorithm_to_byte(sketch.oracle().algorithm()));
     out.extend_from_slice(&sketch.oracle().seed().to_le_bytes());
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+    let mask = registers::mantissa_mask(params);
+    match sketch.lanes() {
+        // 16-bit words tile the u64 words exactly: each is two LE bytes.
+        Lanes::U16(lanes) if params.word_bits() == 16 => {
+            let mask = u16::from_rank(mask);
+            out.extend(lanes.iter().flat_map(|&lane| (lane ^ mask).to_le_bytes()));
+        }
+        lanes => with_lanes!(lanes, |v| {
+            let words = v.iter().map(|&lane| Into::<u32>::into(lane) ^ mask);
+            pack_words(&mut out, params.word_bits(), words)
+        }),
     }
+    out.resize(HEADER_LEN + payload_len(params), 0);
     let digest = xxh64(&out, 0);
     out.extend_from_slice(&digest.to_le_bytes());
     out
+}
+
+/// Append `words` of `width` bits each, bit-packed LSB-first into LE
+/// `u64`s (a word may straddle two `u64`s), zero-padding the last `u64`.
+fn pack_words(out: &mut Vec<u8>, width: u32, words: impl Iterator<Item = u32>) {
+    let (mut acc, mut filled) = (0u64, 0u32);
+    for word in words {
+        debug_assert!(filled < 64, "a full u64 is flushed before the next word");
+        acc |= u64::from(word) << filled;
+        filled += width;
+        if filled >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            filled -= 64;
+            // The high bits of `word` that did not fit in the flushed u64.
+            acc = if filled == 0 { 0 } else { u64::from(word) >> (width - filled) };
+        }
+    }
+    if filled > 0 {
+        out.extend_from_slice(&acc.to_le_bytes());
+    }
 }
 
 /// Decode a sketch from the binary format.
@@ -170,34 +208,79 @@ pub fn decode(bytes: &[u8]) -> Result<HyperMinHash, FormatError> {
     let seed =
         u64::from_le_bytes(bytes[9..17].try_into().expect("invariant: bytes[9..17] is 8 bytes"));
 
-    let bits = (params.num_buckets() as u64) * u64::from(params.word_bits());
-    let num_words = bits.div_ceil(64) as usize;
-    let expected = HEADER + num_words * 8 + 8;
+    let body_end = HEADER + payload_len(params);
+    let expected = body_end + DIGEST_LEN;
     if bytes.len() != expected {
         return Err(FormatError::Truncated { expected, got: bytes.len() });
     }
-    let body_end = HEADER + num_words * 8;
     let digest = u64::from_le_bytes(
         bytes[body_end..].try_into().expect("invariant: length checked 8 lines up"),
     );
     if xxh64(&bytes[..body_end], 0) != digest {
         return Err(FormatError::ChecksumMismatch);
     }
-    let words: Vec<u64> = bytes[HEADER..body_end]
+    let payload = &bytes[HEADER..body_end];
+    let (m, width) = (params.num_buckets(), params.word_bits());
+    let used = (m as u64 * u64::from(width)).div_ceil(8) as usize;
+    let mask = registers::mantissa_mask(params);
+    let lanes = if width == 16 {
+        let (lanes, lowest) = lanes_from_le16(&payload[..2 * m], u16::from_rank(mask));
+        registers::check_range(params, u32::from(lowest), u32::from(u16::MAX))
+            .map_err(FormatError::CorruptPayload)?;
+        Lanes::U16(lanes)
+    } else {
+        let lanes = Lanes::from_ranks(params, unpack_words(payload, params).map(|w| w ^ mask));
+        lanes.validate(params).map_err(FormatError::CorruptPayload)?;
+        lanes
+    };
+    // Padding past the last word must be zero: the tail of the last used
+    // byte, then every whole byte after it.
+    let tail_bits = (m as u64 * u64::from(width) % 8) as u32;
+    let dirty_tail = tail_bits != 0 && payload[used - 1] >> tail_bits != 0;
+    if dirty_tail || payload[used..].iter().any(|&b| b != 0) {
+        return Err(FormatError::CorruptPayload(
+            "non-zero padding bits past the last cell".to_string(),
+        ));
+    }
+    Ok(HyperMinHash::from_lanes(params, RandomOracle::new(algorithm, seed), lanes))
+}
+
+/// Lanes from 16-bit LE words (`q + r = 16`, which tile the payload
+/// exactly), and the lowest lane. The only impossible registers at this
+/// width are the lanes below the empty one, so the check is a running min.
+/// Blocks keep the loop vectorized.
+fn lanes_from_le16(payload: &[u8], mask: u16) -> (Vec<u16>, u16) {
+    let mut lanes = vec![0u16; payload.len() / 2];
+    let mut lowest = u16::MAX;
+    for (block, bytes) in lanes.chunks_mut(256).zip(payload.chunks(512)) {
+        let mut block_lowest = u16::MAX;
+        for (lane, c) in block.iter_mut().zip(bytes.chunks_exact(2)) {
+            *lane = u16::from_le_bytes([c[0], c[1]]) ^ mask;
+            block_lowest = block_lowest.min(*lane);
+        }
+        lowest = lowest.min(block_lowest);
+    }
+    (lanes, lowest)
+}
+
+/// The `2^p` words of a payload packed `q + r` bits per word, LSB-first,
+/// in LE `u64`s.
+fn unpack_words(payload: &[u8], params: HmhParams) -> impl Iterator<Item = u32> {
+    let width = params.word_bits();
+    let packed: Vec<u64> = payload
         .chunks_exact(8)
         .map(|c| {
-            u64::from_le_bytes(
-                c.try_into().expect("invariant: chunks_exact(8) yields 8-byte chunks"),
-            )
+            u64::from_le_bytes(c.try_into().expect("invariant: chunks_exact(8) yields 8 bytes"))
         })
         .collect();
-    let packed = BitPacked::from_raw_words(params.word_bits(), params.num_buckets(), words)
-        .map_err(FormatError::CorruptPayload)?;
-    // Structural register validation: counters must not exceed the cap
-    // (BitPacked width alone cannot enforce this when q+r is not a power
-    // of two — counter bits are the top q of the word, always in range by
-    // construction, so nothing further to check).
-    Ok(HyperMinHash::from_packed(params, RandomOracle::new(algorithm, seed), packed))
+    let mask = (1u64 << params.word_bits()) - 1;
+    (0..params.num_buckets()).map(move |i| {
+        let bit = i as u64 * u64::from(width);
+        let (at, shift) = ((bit / 64) as usize, (bit % 64) as u32);
+        let low = packed[at] >> shift;
+        let word = if shift + width <= 64 { low } else { low | packed[at + 1] << (64 - shift) };
+        (word & mask) as u32
+    })
 }
 
 #[cfg(test)]
@@ -384,6 +467,55 @@ mod tests {
             assert!(decode(bytes).is_err(), "corpus[{i}] accepted");
         }
         assert!(decode(&good).is_ok());
+    }
+
+    /// Recompute the trailing digest after editing the body, as a client
+    /// that speaks the format can.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - DIGEST_LEN;
+        let digest = xxh64(&bytes[..body], 0);
+        bytes[body..].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    #[test]
+    fn impossible_registers_are_rejected_under_a_valid_digest() {
+        // Counter 0 with a nonzero mantissa is a word no insert, union or
+        // reduce_r produces. Accepted, it counted as occupied while the
+        // cardinality stayed 0, and s ∪ ∅ rewrote it to empty. The digest
+        // is resealed, so only the register check can refuse it. Shapes:
+        // the 16-bit fast path, an odd width, and 32-bit lanes.
+        for (p, q, r) in [(8, 6, 10), (4, 2, 3), (3, 6, 20)] {
+            let params = HmhParams::new(p, q, r).unwrap();
+            let pristine = encode(&HyperMinHash::new(params));
+            // Bucket 1's word starts at bit q + r of the payload.
+            let bit = HEADER_LEN * 8 + params.word_bits() as usize;
+            let mut impossible = pristine.clone();
+            impossible[bit / 8] |= 1 << (bit % 8); // mantissa 1, counter 0
+            reseal(&mut impossible);
+            assert!(
+                matches!(decode(&impossible), Err(FormatError::CorruptPayload(_))),
+                "({p},{q},{r}): {:?}",
+                decode(&impossible)
+            );
+            // The same edit one field up is counter 1: a real register.
+            let mut real = pristine.clone();
+            let bit = bit + r as usize;
+            real[bit / 8] |= 1 << (bit % 8);
+            reseal(&mut real);
+            let back = decode(&real).expect("counter 1, mantissa 0 is a valid register");
+            assert_eq!(back.register(1), Some((1, 0)));
+            assert_eq!(encode(&back), real);
+        }
+    }
+
+    #[test]
+    fn dirty_padding_is_rejected_under_a_valid_digest() {
+        // 4 buckets × 5 bits leave 44 padding bits in the only u64.
+        let params = HmhParams::new(2, 2, 3).unwrap();
+        let mut bytes = encode(&HyperMinHash::from_items(params, 0..10u64));
+        bytes[HEADER_LEN + 7] |= 0x80;
+        reseal(&mut bytes);
+        assert!(matches!(decode(&bytes), Err(FormatError::CorruptPayload(_))));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::error::HmhError;
 use crate::jaccard::{jaccard, CollisionCorrection};
+use crate::registers::{self, Lane, Lanes};
 use crate::sketch::HyperMinHash;
 
 /// An intersection estimate.
@@ -53,25 +54,48 @@ pub fn jaccard_many(sketches: &[&HyperMinHash]) -> Result<f64, HmhError> {
     for s in rest {
         first.check_compatible(s)?;
     }
-    let mut matching = 0usize;
-    let mut occupied = 0usize;
-    for bucket in 0..first.params().num_buckets() {
-        let w0 = first.word(bucket);
-        let mut any = w0 != 0;
-        let mut all_match = true;
-        for s in rest {
-            let w = s.word(bucket);
-            any |= w != 0;
-            all_match &= w == w0;
-        }
-        if any {
-            occupied += 1;
-            if all_match && w0 != 0 {
-                matching += 1;
+    let empty = registers::mantissa_mask(first.params());
+    let counts = match first.lanes() {
+        Lanes::U16(_) => kway_counts::<u16>(sketches, empty),
+        Lanes::U32(_) => kway_counts::<u32>(sketches, empty),
+    };
+    // Equal parameters imply equal lane widths.
+    let Some((matching, occupied)) = counts else {
+        return Err(HmhError::ParameterMismatch { left: first.params(), right: rest[0].params() });
+    };
+    Ok(if occupied == 0 { 0.0 } else { matching as f64 / occupied as f64 })
+}
+
+/// The k-way counts `(C, N)`: buckets where every register equals the
+/// first and is occupied, and buckets occupied in any sketch. `None` if a
+/// sketch's lanes are not `L`. Runs in blocks so each sketch is one slice
+/// pass per block into a running max and an all-equal flag.
+fn kway_counts<L: Lane>(sketches: &[&HyperMinHash], empty: u32) -> Option<(usize, usize)> {
+    const BLOCK: usize = 256;
+    let lanes: Vec<&[L]> = sketches.iter().map(|s| L::slice(s.lanes())).collect::<Option<_>>()?;
+    let (first, rest) = lanes.split_first()?;
+    let empty = L::from_rank(empty);
+    let (mut matching, mut occupied) = (0usize, 0usize);
+    let mut hi = [L::default(); BLOCK];
+    let mut same = [true; BLOCK];
+    for (block, base) in first.chunks(BLOCK).zip((0..).step_by(BLOCK)) {
+        let n = block.len();
+        let (hi, same) = (&mut hi[..n], &mut same[..n]);
+        hi.copy_from_slice(block);
+        same.fill(true);
+        for other in rest {
+            let other = &other[base..base + n];
+            for (((h, s), &x), &y) in hi.iter_mut().zip(same.iter_mut()).zip(other).zip(block) {
+                *h = (*h).max(x);
+                *s &= x == y;
             }
         }
+        for ((&h, &s), &x) in hi.iter().zip(same.iter()).zip(block) {
+            occupied += usize::from(h > empty);
+            matching += usize::from(s & (x > empty));
+        }
     }
-    Ok(if occupied == 0 { 0.0 } else { matching as f64 / occupied as f64 })
+    Some((matching, occupied))
 }
 
 /// k-way intersection: `t̂ₖ · |∪ᵢ Sᵢ|̂`.

@@ -7,6 +7,7 @@
 
 use crate::collisions::{approx_expected_collisions, expected_collisions};
 use crate::error::HmhError;
+use crate::registers::{self, Lane, Lanes};
 use crate::sketch::HyperMinHash;
 
 /// How Algorithm 4 estimates the collision correction `EC`.
@@ -66,17 +67,13 @@ pub fn jaccard(
 ) -> Result<JaccardEstimate, HmhError> {
     a.check_compatible(b)?;
     let params = a.params();
-    let mut matching = 0usize;
-    let mut occupied = 0usize;
-    for bucket in 0..params.num_buckets() {
-        let (wa, wb) = (a.word(bucket), b.word(bucket));
-        if wa != 0 || wb != 0 {
-            occupied += 1;
-            if wa == wb {
-                matching += 1;
-            }
-        }
-    }
+    let empty = registers::mantissa_mask(params);
+    let (matching, occupied) = match (a.lanes(), b.lanes()) {
+        (Lanes::U16(x), Lanes::U16(y)) => registers::match_counts(x, y, u16::from_rank(empty)),
+        (Lanes::U32(x), Lanes::U32(y)) => registers::match_counts(x, y, empty),
+        // Equal parameters imply equal lane widths.
+        _ => return Err(HmhError::ParameterMismatch { left: params, right: b.params() }),
+    };
     let raw = if occupied == 0 { 0.0 } else { matching as f64 / occupied as f64 };
 
     let ec = match correction {

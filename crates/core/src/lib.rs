@@ -48,6 +48,8 @@ pub mod format;
 pub mod intersect;
 pub mod jaccard;
 pub mod params;
+#[cfg(test)]
+mod reference;
 pub mod registers;
 pub mod sketch;
 pub mod sparse;

@@ -3,9 +3,8 @@
 
 use crate::error::HmhError;
 use crate::params::HmhParams;
-use crate::registers::{self, Word};
+use crate::registers::{self, with_lanes, Lane, Lanes, Word};
 use hmh_hash::{HashableItem, RandomOracle};
-use hmh_hll::registers::BitPacked;
 
 /// A HyperMinHash sketch.
 ///
@@ -14,12 +13,15 @@ use hmh_hll::registers::BitPacked;
 /// into the bucket. Supports streaming [`insert`](Self::insert)s and
 /// lossless [`union`](Self::union)s; Jaccard, cardinality and intersection
 /// queries live in the sibling modules and are exposed as methods here.
+///
+/// In memory each register is held in rank space (see [`registers`]), so
+/// the better register is the larger lane and union is a lane-wise max.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct HyperMinHash {
     params: HmhParams,
     oracle: RandomOracle,
-    words: BitPacked,
+    lanes: Lanes,
 }
 
 impl HyperMinHash {
@@ -30,11 +32,7 @@ impl HyperMinHash {
 
     /// New empty sketch with an explicit oracle.
     pub fn with_oracle(params: HmhParams, oracle: RandomOracle) -> Self {
-        Self {
-            params,
-            oracle,
-            words: BitPacked::new(params.word_bits(), params.num_buckets()),
-        }
+        Self { params, oracle, lanes: Lanes::empty(params) }
     }
 
     /// Build a sketch from an iterator of items.
@@ -59,7 +57,10 @@ impl HyperMinHash {
         self.oracle
     }
 
-    /// Sketch size in bytes (packed register words).
+    /// The paper's sketch size in bytes, `⌈2^p·(q + r) / 8⌉`: the registers
+    /// bit-packed as `HMH1` stores them. This is the size the paper's
+    /// 256-byte and 64-KiB claims count, not heap use; in memory each
+    /// register takes a 16- or 32-bit lane.
     pub fn byte_size(&self) -> usize {
         self.params.byte_size()
     }
@@ -75,23 +76,15 @@ impl HyperMinHash {
 
     /// Insert a batch of items (the bulk-ingest fast path).
     ///
-    /// Hoists the parameter loads (`p`, `cap`, `r`) and the oracle out of
-    /// the per-item loop so the hot path is hash → slice → observe with no
-    /// repeated struct reads. Bit-for-bit equivalent to calling
-    /// [`insert`](Self::insert) on each item in order — register updates
-    /// commute (max is associative and commutative), so batching can never
-    /// change the resulting sketch.
+    /// Hoists the parameter loads (`p`, `cap`, `r`), the oracle and the
+    /// lane width out of the per-item loop so the hot path is hash →
+    /// slice → max with no repeated struct reads. Bit-for-bit equivalent
+    /// to calling [`insert`](Self::insert) on each item in order —
+    /// register updates commute (max is associative and commutative), so
+    /// batching can never change the resulting sketch.
     pub fn insert_batch<T: HashableItem>(&mut self, items: &[T]) {
-        let oracle = self.oracle;
-        let p = self.params.p();
-        let cap = self.params.cap();
-        let r = self.params.r();
-        for item in items {
-            let digest = oracle.digest(item);
-            let bucket = digest.take_bits(0, p) as usize;
-            let (counter, mantissa) = digest.rho_sigma(p, cap, r);
-            self.observe(bucket, counter, mantissa as u32);
-        }
+        let (params, oracle) = (self.params, self.oracle);
+        with_lanes!(&mut self.lanes, |lanes| insert_all(lanes, params, oracle, items))
     }
 
     /// Record a register observation directly (used by the simulator and
@@ -101,39 +94,42 @@ impl HyperMinHash {
     /// If `bucket`, `counter` or `mantissa` are out of range.
     #[inline]
     pub fn observe(&mut self, bucket: usize, counter: u32, mantissa: u32) {
-        let candidate = registers::pack(self.params, counter, mantissa);
-        let incumbent = self.words.get(bucket);
-        if registers::beats(self.params, candidate, incumbent) {
-            self.words.set(bucket, candidate);
-        }
+        assert!(
+            counter <= self.params.cap() && u64::from(mantissa) < self.params.mantissa_values(),
+            "register ({counter}, {mantissa}) out of range for {:?}",
+            self.params
+        );
+        let word = registers::pack(self.params, counter, mantissa);
+        self.lanes.raise(bucket, registers::rank(self.params, word));
     }
 
-    /// Raw packed register storage (for the binary wire format).
-    pub(crate) fn packed(&self) -> &BitPacked {
-        &self.words
+    /// The rank-space registers (for the binary wire format).
+    pub(crate) fn lanes(&self) -> &Lanes {
+        &self.lanes
     }
 
-    /// Rebuild from decoded parts (wire-format decode path).
-    pub(crate) fn from_packed(params: HmhParams, oracle: RandomOracle, words: BitPacked) -> Self {
-        debug_assert_eq!(words.len(), params.num_buckets());
-        debug_assert_eq!(words.width(), params.word_bits());
-        Self { params, oracle, words }
+    /// Rebuild from rank-space registers the caller has checked with
+    /// [`Lanes::validate`] (wire-format decode and deserialization).
+    pub(crate) fn from_lanes(params: HmhParams, oracle: RandomOracle, lanes: Lanes) -> Self {
+        debug_assert_eq!(lanes.validate(params), Ok(()));
+        Self { params, oracle, lanes }
     }
 
     /// The packed word of `bucket` (0 = empty).
     pub fn word(&self, bucket: usize) -> Word {
-        self.words.get(bucket)
+        registers::rank(self.params, self.lanes.get(bucket))
     }
 
     /// The `(counter, mantissa)` register of `bucket`, or `None` if empty.
     pub fn register(&self, bucket: usize) -> Option<(u32, u32)> {
-        let w = self.words.get(bucket);
+        let w = self.word(bucket);
         (w != 0).then(|| registers::unpack(self.params, w))
     }
 
     /// Number of non-empty buckets.
     pub fn occupied(&self) -> usize {
-        self.words.iter().filter(|&w| w != 0).count()
+        let empty = registers::mantissa_mask(self.params);
+        with_lanes!(&self.lanes, |v| registers::count_occupied(v, Lane::from_rank(empty)))
     }
 
     /// True iff no bucket is occupied.
@@ -143,17 +139,14 @@ impl HyperMinHash {
 
     /// Iterate over packed words, bucket order.
     pub fn words(&self) -> impl Iterator<Item = Word> + '_ {
-        self.words.iter()
+        (0..self.params.num_buckets()).map(move |bucket| self.word(bucket))
     }
 
     /// Histogram of LogLog counters (`cap + 1` entries) — the input of
     /// Algorithm 3's HLL head.
     pub fn counter_histogram(&self) -> Vec<u64> {
-        let mut hist = vec![0u64; self.params.cap() as usize + 1];
-        for w in self.words.iter() {
-            hist[(w >> self.params.r()) as usize] += 1;
-        }
-        hist
+        let (r, bins) = (self.params.r(), self.params.cap() as usize + 1);
+        with_lanes!(&self.lanes, |v| registers::counter_histogram(v, r, bins))
     }
 
     /// Lossless union (Algorithm 2): bucket-wise best register. The result
@@ -164,14 +157,14 @@ impl HyperMinHash {
         Ok(out)
     }
 
-    /// In-place union.
+    /// In-place union: a lane-wise max.
     pub fn merge(&mut self, other: &Self) -> Result<(), HmhError> {
         self.check_compatible(other)?;
-        for bucket in 0..self.params.num_buckets() {
-            let candidate = other.words.get(bucket);
-            if registers::beats(self.params, candidate, self.words.get(bucket)) {
-                self.words.set(bucket, candidate);
-            }
+        match (&mut self.lanes, &other.lanes) {
+            (Lanes::U16(a), Lanes::U16(b)) => registers::max_into(a, b),
+            (Lanes::U32(a), Lanes::U32(b)) => registers::max_into(a, b),
+            // Equal parameters imply equal lane widths.
+            _ => return Err(self.params_mismatch(other)),
         }
         Ok(())
     }
@@ -189,6 +182,10 @@ impl HyperMinHash {
     /// register value. (The converse, widening `r`, is impossible: the
     /// dropped bits are gone. So is changing `p` or `q`.)
     ///
+    /// In rank space the reduction is a shift of every lane: the word
+    /// `counter << r | mantissa` shifted right by `r − new_r` is the
+    /// narrow word, and the mantissa mask shifts to the narrow mask.
+    ///
     /// This lets fleets with mixed precisions interoperate: reduce both
     /// sides to the common `r`, then merge/compare as usual.
     pub fn reduce_r(&self, new_r: u32) -> Result<Self, HmhError> {
@@ -199,27 +196,25 @@ impl HyperMinHash {
         }
         let params = HmhParams::new(self.params.p(), self.params.q(), new_r)?;
         let shift = self.params.r() - new_r;
-        let mut out = Self::with_oracle(params, self.oracle);
-        for bucket in 0..self.params.num_buckets() {
-            if let Some((counter, mantissa)) = self.register(bucket) {
-                out.observe(bucket, counter, mantissa >> shift);
-            }
-        }
-        Ok(out)
+        let lanes = with_lanes!(&self.lanes, |v| {
+            Lanes::from_ranks(params, v.iter().map(|&lane| Into::<u32>::into(lane) >> shift))
+        });
+        Ok(Self { params, oracle: self.oracle, lanes })
     }
 
     /// Verify two sketches can be combined (same parameters and oracle).
     pub fn check_compatible(&self, other: &Self) -> Result<(), HmhError> {
         if self.params != other.params {
-            return Err(HmhError::ParameterMismatch {
-                left: self.params,
-                right: other.params,
-            });
+            return Err(self.params_mismatch(other));
         }
         if self.oracle != other.oracle {
             return Err(HmhError::OracleMismatch);
         }
         Ok(())
+    }
+
+    fn params_mismatch(&self, other: &Self) -> HmhError {
+        HmhError::ParameterMismatch { left: self.params, right: other.params }
     }
 
     /// Cardinality estimate (Algorithm 3) with default settings.
@@ -236,6 +231,39 @@ impl HyperMinHash {
     /// Intersection cardinality estimate `t̂ · |A ∪ B|̂`.
     pub fn intersection(&self, other: &Self) -> Result<crate::IntersectionEstimate, HmhError> {
         crate::intersect::intersection(self, other)
+    }
+}
+
+/// [`HyperMinHash::insert_batch`] over one lane width.
+fn insert_all<L: Lane, T: HashableItem>(
+    lanes: &mut [L],
+    params: HmhParams,
+    oracle: RandomOracle,
+    items: &[T],
+) {
+    let (p, cap, r) = (params.p(), params.cap(), params.r());
+    for item in items {
+        let digest = oracle.digest(item);
+        let bucket = digest.take_bits(0, p) as usize;
+        let (counter, mantissa) = digest.rho_sigma(p, cap, r);
+        let word = registers::pack(params, counter, mantissa as u32);
+        registers::raise(lanes, bucket, registers::rank(params, word));
+    }
+}
+
+/// Deserialization re-checks what `format::decode` checks: lane width and
+/// count match the parameters, and no register lies outside the values
+/// inserts can produce.
+#[cfg(feature = "serde")]
+impl serde::Deserialize for HyperMinHash {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let m = v.as_map().ok_or_else(|| {
+            serde::Error::msg(format!("expected map for struct HyperMinHash, got {}", v.kind()))
+        })?;
+        let params = serde::field(m, "params")?;
+        let lanes: Lanes = serde::field(m, "lanes")?;
+        lanes.validate(params).map_err(|e| serde::Error::msg(format!("field `lanes`: {e}")))?;
+        Ok(Self::from_lanes(params, serde::field(m, "oracle")?, lanes))
     }
 }
 
@@ -416,6 +444,42 @@ mod tests {
     fn figure6_size_claims() {
         assert_eq!(HyperMinHash::new(HmhParams::figure6()).byte_size(), 256);
         assert_eq!(HyperMinHash::new(HmhParams::headline()).byte_size(), 65536);
+    }
+
+    #[cfg(feature = "serde")]
+    #[test]
+    fn deserialize_enforces_the_decode_checks() {
+        use serde::{Deserialize, Serialize, Value};
+        // p = 6, q = 4, r = 6: 64 u16 lanes, empty lane 63, widest 2^10 − 1.
+        let s = sketch_range(0, 100, params());
+        let with_lanes = |edit: &dyn Fn(&mut Vec<Value>)| {
+            let mut v = s.to_value();
+            let Value::Map(fields) = &mut v else { panic!("struct serializes as a map") };
+            let (_, lanes) = fields.iter_mut().find(|(k, _)| k == "lanes").expect("lanes field");
+            let Value::Map(variant) = lanes else { panic!("lanes serialize as a variant map") };
+            let Value::Seq(values) = &mut variant[0].1 else {
+                panic!("lane payload is a sequence")
+            };
+            edit(values);
+            HyperMinHash::from_value(&v)
+        };
+        assert_eq!(with_lanes(&|_| {}).unwrap(), s);
+        let below_empty = with_lanes(&|l| l[5] = Value::U64(62)).unwrap_err();
+        assert!(below_empty.to_string().contains("counter 0"), "{below_empty}");
+        let too_wide = with_lanes(&|l| l[5] = Value::U64(1 << 10)).unwrap_err();
+        assert!(too_wide.to_string().contains("wider"), "{too_wide}");
+        let short = with_lanes(&|l| {
+            l.pop();
+        })
+        .unwrap_err();
+        assert!(short.to_string().contains("expected 64 registers"), "{short}");
+        // The lane width must follow q + r.
+        let mut v = s.to_value();
+        let Value::Map(fields) = &mut v else { panic!("struct serializes as a map") };
+        let (_, lanes) = fields.iter_mut().find(|(k, _)| k == "lanes").expect("lanes field");
+        let Value::Map(variant) = lanes else { panic!("lanes serialize as a variant map") };
+        variant[0].0 = "U32".to_string();
+        assert!(HyperMinHash::from_value(&v).unwrap_err().to_string().contains("width"));
     }
 
     #[cfg(feature = "serde")]
