@@ -52,7 +52,6 @@ pub mod params;
 mod reference;
 pub mod registers;
 pub mod sketch;
-pub mod sparse;
 
 pub use cardinality::CardinalityEstimator;
 pub use error::HmhError;
@@ -60,4 +59,3 @@ pub use intersect::IntersectionEstimate;
 pub use jaccard::{CollisionCorrection, JaccardEstimate};
 pub use params::HmhParams;
 pub use sketch::HyperMinHash;
-pub use sparse::AdaptiveHyperMinHash;

@@ -17,7 +17,6 @@ use crate::error::HmhError;
 ///   "estimating Jaccard indices of 0.01 for set cardinalities on the
 ///   order of 10^19 with accuracy around 5%".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HmhParams {
     p: u32,
     q: u32,

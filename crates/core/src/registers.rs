@@ -119,7 +119,6 @@ impl Lane for u32 {
 /// being the empty register; a smaller lane would be counter 0 with a
 /// nonzero mantissa, which no insert produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) enum Lanes {
     /// `q + r ≤ 16`.
     U16(Vec<u16>),

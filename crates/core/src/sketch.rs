@@ -17,7 +17,6 @@ use hmh_hash::{HashableItem, RandomOracle};
 /// In memory each register is held in rank space (see [`registers`]), so
 /// the better register is the larger lane and union is a lane-wise max.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct HyperMinHash {
     params: HmhParams,
     oracle: RandomOracle,
@@ -109,7 +108,7 @@ impl HyperMinHash {
     }
 
     /// Rebuild from rank-space registers the caller has checked with
-    /// [`Lanes::validate`] (wire-format decode and deserialization).
+    /// [`Lanes::validate`] (wire-format decode).
     pub(crate) fn from_lanes(params: HmhParams, oracle: RandomOracle, lanes: Lanes) -> Self {
         debug_assert_eq!(lanes.validate(params), Ok(()));
         Self { params, oracle, lanes }
@@ -248,22 +247,6 @@ fn insert_all<L: Lane, T: HashableItem>(
         let (counter, mantissa) = digest.rho_sigma(p, cap, r);
         let word = registers::pack(params, counter, mantissa as u32);
         registers::raise(lanes, bucket, registers::rank(params, word));
-    }
-}
-
-/// Deserialization re-checks what `format::decode` checks: lane width and
-/// count match the parameters, and no register lies outside the values
-/// inserts can produce.
-#[cfg(feature = "serde")]
-impl serde::Deserialize for HyperMinHash {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = v.as_map().ok_or_else(|| {
-            serde::Error::msg(format!("expected map for struct HyperMinHash, got {}", v.kind()))
-        })?;
-        let params = serde::field(m, "params")?;
-        let lanes: Lanes = serde::field(m, "lanes")?;
-        lanes.validate(params).map_err(|e| serde::Error::msg(format!("field `lanes`: {e}")))?;
-        Ok(Self::from_lanes(params, serde::field(m, "oracle")?, lanes))
     }
 }
 
@@ -444,53 +427,5 @@ mod tests {
     fn figure6_size_claims() {
         assert_eq!(HyperMinHash::new(HmhParams::figure6()).byte_size(), 256);
         assert_eq!(HyperMinHash::new(HmhParams::headline()).byte_size(), 65536);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn deserialize_enforces_the_decode_checks() {
-        use serde::{Deserialize, Serialize, Value};
-        // p = 6, q = 4, r = 6: 64 u16 lanes, empty lane 63, widest 2^10 − 1.
-        let s = sketch_range(0, 100, params());
-        let with_lanes = |edit: &dyn Fn(&mut Vec<Value>)| {
-            let mut v = s.to_value();
-            let Value::Map(fields) = &mut v else { panic!("struct serializes as a map") };
-            let (_, lanes) = fields.iter_mut().find(|(k, _)| k == "lanes").expect("lanes field");
-            let Value::Map(variant) = lanes else { panic!("lanes serialize as a variant map") };
-            let Value::Seq(values) = &mut variant[0].1 else {
-                panic!("lane payload is a sequence")
-            };
-            edit(values);
-            HyperMinHash::from_value(&v)
-        };
-        assert_eq!(with_lanes(&|_| {}).unwrap(), s);
-        let below_empty = with_lanes(&|l| l[5] = Value::U64(62)).unwrap_err();
-        assert!(below_empty.to_string().contains("counter 0"), "{below_empty}");
-        let too_wide = with_lanes(&|l| l[5] = Value::U64(1 << 10)).unwrap_err();
-        assert!(too_wide.to_string().contains("wider"), "{too_wide}");
-        let short = with_lanes(&|l| {
-            l.pop();
-        })
-        .unwrap_err();
-        assert!(short.to_string().contains("expected 64 registers"), "{short}");
-        // The lane width must follow q + r.
-        let mut v = s.to_value();
-        let Value::Map(fields) = &mut v else { panic!("struct serializes as a map") };
-        let (_, lanes) = fields.iter_mut().find(|(k, _)| k == "lanes").expect("lanes field");
-        let Value::Map(variant) = lanes else { panic!("lanes serialize as a variant map") };
-        variant[0].0 = "U32".to_string();
-        assert!(HyperMinHash::from_value(&v).unwrap_err().to_string().contains("width"));
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_round_trip_preserves_everything() {
-        let s = sketch_range(0, 2_000, HmhParams::figure6());
-        let json = serde_json::to_string(&s).unwrap();
-        let back: HyperMinHash = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-        // And the restored sketch keeps merging correctly.
-        let t = sketch_range(1_000, 3_000, HmhParams::figure6());
-        assert_eq!(s.union(&t).unwrap(), back.union(&t).unwrap());
     }
 }

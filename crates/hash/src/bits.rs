@@ -15,7 +15,6 @@
 
 /// A 128-bit hash digest viewed as the binary expansion `0.b₁b₂…b₁₂₈`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Digest128(u128);
 
 impl Digest128 {

@@ -16,7 +16,6 @@ use crate::xxhash::xxh64;
 
 /// Hash algorithm backing a [`RandomOracle`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HashAlgorithm {
     /// Murmur3 x64 128-bit — the default: one pass, full 128-bit digest.
     #[default]
@@ -46,7 +45,6 @@ pub enum HashAlgorithm {
 /// assert!(bucket < 4096 && counter >= 1 && mantissa < 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RandomOracle {
     algorithm: HashAlgorithm,
     seed: u64,

@@ -188,7 +188,6 @@ pub fn ertl_mle(hist: &[u64]) -> f64 {
 
 /// Which estimator Algorithm 3 should use for its HLL head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EstimatorKind {
     /// Original FFGM07 (raw + linear counting).
     Ffgm,

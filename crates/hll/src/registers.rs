@@ -9,7 +9,6 @@
 
 /// A vector of fixed-width unsigned cells packed into `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitPacked {
     width: u32,
     len: usize,

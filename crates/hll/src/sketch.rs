@@ -52,7 +52,6 @@ impl std::error::Error for HllError {}
 /// assert!((estimate / 50_000.0 - 1.0).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HyperLogLog {
     p: u32,
     cap: u32,
@@ -294,18 +293,5 @@ mod tests {
         // p=12, cap=63 → 6-bit registers → 4096·6/8 = 3072 bytes.
         let h = HyperLogLog::new(12);
         assert_eq!(h.byte_size(), 3072);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_round_trip() {
-        let mut h = HyperLogLog::new(8);
-        for i in 0..1000u64 {
-            h.insert(&i);
-        }
-        let json = serde_json::to_string(&h).unwrap();
-        let back: HyperLogLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(h, back);
-        assert_eq!(h.cardinality(), back.cardinality());
     }
 }

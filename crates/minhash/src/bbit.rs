@@ -15,7 +15,6 @@ use hmh_hll::registers::BitPacked;
 
 /// A b-bit MinHash fingerprint of `k` registers.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BBitMinHash {
     b: u32,
     seed_tag: u64,

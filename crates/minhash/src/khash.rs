@@ -10,7 +10,6 @@ use hmh_hash::{HashableItem, RandomOracle};
 
 /// A k-hash-functions MinHash sketch storing full 64-bit minima.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KHashMinHash {
     oracle: RandomOracle,
     /// Minimum hash per function; `u64::MAX` = empty.

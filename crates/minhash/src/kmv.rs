@@ -24,7 +24,6 @@ use hmh_hash::{HashableItem, RandomOracle};
 /// assert!((j - 1.0 / 3.0).abs() < 0.07);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BottomK {
     oracle: RandomOracle,
     k: usize,

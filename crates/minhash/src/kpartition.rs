@@ -27,7 +27,6 @@ use hmh_hll::registers::BitPacked;
 /// assert!((s.cardinality() / 1000.0 - 1.0).abs() < 0.3);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KPartitionMinHash {
     p: u32,
     bits: u32,

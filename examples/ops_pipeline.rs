@@ -1,7 +1,6 @@
 //! Operational pipeline: the production features around the paper's
-//! algorithms — sparse sketches for small sets, the compact binary wire
-//! format for shipping, and lossless precision downgrades for
-//! mixed-parameter fleets.
+//! algorithms — the compact binary wire format for shipping, and lossless
+//! precision downgrades for mixed-parameter fleets.
 //!
 //! ```sh
 //! cargo run --release --example ops_pipeline
@@ -11,42 +10,19 @@ use hyperminhash::prelude::*;
 use hyperminhash::sketch::format;
 
 fn main() {
-    // 1. Edge nodes keep per-tenant sketches. Most tenants are tiny, so
-    //    the adaptive representation starts sparse.
-    let params = HmhParams::headline(); // dense would be 64 KiB each
-    let mut small_tenant = AdaptiveHyperMinHash::new(params);
-    for i in 0..200u64 {
-        small_tenant.insert(&i);
-    }
-    println!(
-        "small tenant: {} items → {} bytes (dense would be {} bytes), sparse = {}",
-        200,
-        small_tenant.byte_size(),
-        params.byte_size(),
-        small_tenant.is_sparse()
-    );
+    // 1. An edge node sketches a tenant (64 KiB of registers).
+    let params = HmhParams::headline();
+    let tenant = HyperMinHash::from_items(params, 0..200_000u64);
 
-    let mut big_tenant = AdaptiveHyperMinHash::new(params);
-    for i in 0..200_000u64 {
-        big_tenant.insert(&i);
-    }
+    // 2. Ship the sketch over the wire with framing + checksum.
+    let wire = format::encode(&tenant);
     println!(
-        "big tenant:   {} items → {} bytes, sparse = {} (auto-promoted)",
-        200_000,
-        big_tenant.byte_size(),
-        big_tenant.is_sparse()
-    );
-
-    // 2. Ship the dense sketch over the wire with framing + checksum.
-    let dense = big_tenant.to_dense();
-    let wire = format::encode(&dense);
-    println!(
-        "\nwire format: {} bytes ({} header/checksum overhead)",
+        "wire format: {} bytes ({} header/checksum overhead)",
         wire.len(),
         wire.len() - params.byte_size()
     );
     let restored = format::decode(&wire).expect("intact payload");
-    assert_eq!(restored, dense);
+    assert_eq!(restored, tenant);
 
     // Corruption is detected, not silently accepted.
     let mut tampered = wire.clone();

@@ -5,6 +5,7 @@
 //! ```
 
 use hyperminhash::prelude::*;
+use hyperminhash::sketch::format;
 
 fn main() {
     // p=12 → 4096 buckets; q=6 counter bits; r=10 mantissa bits: 8 KiB.
@@ -39,11 +40,11 @@ fn main() {
     let i = a.intersection(&b).expect("same parameters and oracle");
     println!("intersection:   {:.0}   (truth 30000)", i.intersection);
 
-    // Sketches serialize (serde) — ship them between machines that share
-    // the oracle seed and keep merging.
-    let bytes = serde_json::to_vec(&a).expect("serializable");
-    let restored: HyperMinHash = serde_json::from_slice(&bytes).expect("round-trips");
+    // Sketches encode to HMH1 bytes — ship them between machines that
+    // share the oracle seed and keep merging.
+    let bytes = format::encode(&a);
+    let restored = format::decode(&bytes).expect("round-trips");
     assert_eq!(restored, a);
-    println!("\nserialized sketch: {} JSON bytes (registers pack to {} raw)",
+    println!("\nencoded sketch: {} bytes (registers pack to {} raw)",
         bytes.len(), params.byte_size());
 }

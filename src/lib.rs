@@ -60,7 +60,7 @@ pub use hmh_workloads as workloads;
 
 /// Convenience re-exports of the most common types.
 pub mod prelude {
-    pub use hmh_core::{AdaptiveHyperMinHash, HmhParams, HyperMinHash, JaccardEstimate};
+    pub use hmh_core::{HmhParams, HyperMinHash, JaccardEstimate};
     pub use hmh_hash::{HashAlgorithm, RandomOracle};
     pub use hmh_hll::HyperLogLog;
     pub use hmh_minhash::{BBitMinHash, BottomK, KHashMinHash, KPartitionMinHash};

@@ -9,6 +9,7 @@
 use hyperminhash::hashing::bits::Digest128;
 use hyperminhash::math::{BigFloat, BigUint};
 use hyperminhash::prelude::*;
+use hyperminhash::sketch::format;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,6 +33,18 @@ impl Gen {
         let q = self.rng.gen_range(2u32..=6);
         let r = self.rng.gen_range(1u32..=12);
         HmhParams::new(p, q, r).expect("ranges are valid")
+    }
+
+    /// Any of the four oracle algorithms with an arbitrary seed.
+    fn oracle(&mut self) -> RandomOracle {
+        const ALGORITHMS: [HashAlgorithm; 4] = [
+            HashAlgorithm::Murmur3,
+            HashAlgorithm::Sha1,
+            HashAlgorithm::XxPair,
+            HashAlgorithm::SplitMix,
+        ];
+        let algorithm = ALGORITHMS[self.rng.gen_range(0usize..ALGORITHMS.len())];
+        RandomOracle::new(algorithm, self.rng.gen())
     }
 
     /// Item vector of length 0..400 with arbitrary u64 items.
@@ -150,15 +163,18 @@ fn union_registers_monotone() {
     });
 }
 
-/// Serde round-trips are the identity.
+/// `HMH1` round-trips are the identity, for every oracle algorithm and
+/// seed: decode(encode(s)) == s and the bytes re-encode unchanged.
 #[test]
-fn serde_identity() {
+fn format_identity() {
     check(6, |g| {
-        let params = g.params();
-        let a = HyperMinHash::from_items(params, g.items());
-        let json = serde_json::to_string(&a).unwrap();
-        let back: HyperMinHash = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
+        let mut a = HyperMinHash::with_oracle(g.params(), g.oracle());
+        a.extend(g.items());
+        let bytes = format::encode(&a);
+        let back = format::decode(&bytes).unwrap();
+        assert_eq!(back.oracle(), a.oracle());
+        assert_eq!(back, a);
+        assert_eq!(format::encode(&back), bytes);
     });
 }
 

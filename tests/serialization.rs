@@ -1,12 +1,12 @@
-//! Serde round-trips across the workspace: sketches survive JSON transit
+//! `HMH1` round-trips through the facade: sketches survive binary transit
 //! and keep full functionality (the shared-randomness deployment story —
 //! sketch on one machine, merge on another).
 
 use hyperminhash::prelude::*;
+use hyperminhash::sketch::format;
 
-fn round_trip<T: serde::Serialize + serde::de::DeserializeOwned>(v: &T) -> T {
-    let json = serde_json::to_string(v).expect("serialize");
-    serde_json::from_str(&json).expect("deserialize")
+fn round_trip(s: &HyperMinHash) -> HyperMinHash {
+    format::decode(&format::encode(s)).expect("decode")
 }
 
 #[test]
@@ -26,60 +26,24 @@ fn hyperminhash_roundtrip_preserves_behaviour() {
 }
 
 #[test]
-fn hyperloglog_roundtrip() {
-    let mut h = hyperminhash::hll::HyperLogLog::new(10);
-    for i in 0..5_000u64 {
-        h.insert(&i);
-    }
-    let h2 = round_trip(&h);
-    assert_eq!(h, h2);
-    assert_eq!(h.cardinality(), h2.cardinality());
-}
-
-#[test]
-fn minhash_variants_roundtrip() {
-    let oracle = RandomOracle::with_seed(9);
-    let mut kmv = BottomK::new(128, oracle);
-    let mut kh = KHashMinHash::new(64, oracle);
-    let mut kp = KPartitionMinHash::new(7, 12, oracle);
-    for i in 0..2_000u64 {
-        kmv.insert(&i);
-        kh.insert(&i);
-        kp.insert(&i);
-    }
-    assert_eq!(kmv, round_trip(&kmv));
-    assert_eq!(kh, round_trip(&kh));
-    assert_eq!(kp, round_trip(&kp));
-
-    let mh_for_fp = {
-        let mut m = KHashMinHash::new(64, oracle);
-        for i in 0..500u64 {
-            m.insert(&i);
-        }
-        m
-    };
-    let fp = BBitMinHash::from_minhash(&mh_for_fp, 2);
-    assert_eq!(fp, round_trip(&fp));
-}
-
-#[test]
 fn params_and_oracle_roundtrip() {
     let p = HmhParams::headline();
-    assert_eq!(p, round_trip(&p));
     let o = RandomOracle::new(HashAlgorithm::Sha1, 77);
-    assert_eq!(o, round_trip(&o));
+    let back = round_trip(&HyperMinHash::with_oracle(p, o));
+    assert_eq!(back.params(), p);
+    assert_eq!(back.oracle(), o);
 }
 
 #[test]
 fn cross_machine_merge_story() {
-    // "Machine 1" sketches January, serializes; "machine 2" sketches
-    // February, deserializes January's sketch, merges, queries.
+    // "Machine 1" sketches January, encodes; "machine 2" sketches
+    // February, decodes January's sketch, merges, queries.
     let params = HmhParams::new(12, 6, 10).unwrap();
     let january = HyperMinHash::from_items(params, 0..40_000u64);
-    let wire = serde_json::to_vec(&january).unwrap();
+    let wire = format::encode(&january);
 
     let february = HyperMinHash::from_items(params, 20_000..60_000u64);
-    let restored: HyperMinHash = serde_json::from_slice(&wire).unwrap();
+    let restored = format::decode(&wire).unwrap();
     let both = restored.union(&february).unwrap();
     let est = both.cardinality();
     assert!((est / 60_000.0 - 1.0).abs() < 0.05, "estimate {est}");
@@ -89,9 +53,11 @@ fn cross_machine_merge_story() {
 
 #[test]
 fn tampered_payloads_fail_loudly() {
-    // Structurally invalid JSON must error, not panic.
-    let bad: Result<HyperMinHash, _> = serde_json::from_str("{\"params\": 12}");
-    assert!(bad.is_err());
-    let bad: Result<HmhParams, _> = serde_json::from_str("\"not-params\"");
-    assert!(bad.is_err());
+    // Garbage, truncation and a flipped register bit must error, not panic.
+    assert!(format::decode(b"{\"params\": 12}").is_err());
+    let wire = format::encode(&HyperMinHash::from_items(HmhParams::figure6(), 0..500u64));
+    assert!(format::decode(&wire[..wire.len() - 1]).is_err());
+    let mut flipped = wire.clone();
+    flipped[40] ^= 0x08;
+    assert!(format::decode(&flipped).is_err());
 }
