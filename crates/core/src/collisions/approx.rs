@@ -13,12 +13,79 @@
 //!    (the paper: "cardinality too large for approximation"; for the
 //!    practical `q = 6, p = 15` this needs `n > 2^{77} ≈ 10^{23}`).
 
+use super::exact::{hll_box_factors, hll_collisions_of};
 use crate::error::HmhError;
 use crate::params::HmhParams;
+use crate::sketch::HyperMinHash;
 
 /// The paper's empirically-determined asymptotic collision constant:
 /// `EC → 0.169919487159739093975315012348·2^{p−r}` as `n = m → ∞`.
 pub const ASYMPTOTIC_COLLISION_CONSTANT: f64 = 0.169_919_487_159_739_1;
+
+/// One side's share of Algorithm 6: its cardinality and, when that
+/// cardinality can reach the small-cardinality branch, its `cap` factors
+/// of [`super::exact::expected_hll_collisions`]. Both are functions of one
+/// sketch alone, so a caller that estimates against the same sketch many
+/// times computes its profile once and each estimate is a `cap`-term dot
+/// product.
+///
+/// The factors sit inline (`cap ≤ 63`), so building or storing a profile
+/// allocates nothing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CollisionProfile {
+    cardinality: f64,
+    /// `f_i(n)` in the first `len` slots: `cap` of them, or none when the
+    /// cardinality can never take the first branch (it is not positive,
+    /// or it exceeds `2^{p+5}`).
+    hll_factors: [f64; MAX_CAP],
+    len: usize,
+}
+
+/// The largest `cap = 2^q − 1`: [`HmhParams::new`] bounds `q` by 6.
+const MAX_CAP: usize = 63;
+
+impl CollisionProfile {
+    /// The profile of an empty sketch: every correction against it is 0.
+    pub const EMPTY: Self = Self { cardinality: 0.0, hll_factors: [0.0; MAX_CAP], len: 0 };
+
+    /// The profile of a sketch with parameters `params` whose cardinality
+    /// estimate is `cardinality`.
+    pub fn new(params: HmhParams, cardinality: f64) -> Self {
+        // Exactly the values that pass Algorithm 6's own branch tests
+        // (NaN passes every comparison there), so a side reaching the
+        // first branch always carries its factors.
+        let small =
+            cardinality.is_nan() || (cardinality > 0.0 && cardinality <= small_ceiling(params));
+        let mut profile = Self { cardinality, ..Self::EMPTY };
+        if small {
+            profile.len = params.cap() as usize;
+            hll_box_factors(params, cardinality, &mut profile.hll_factors[..profile.len]);
+        }
+        profile
+    }
+
+    /// The profile of `sketch`, from its default cardinality estimate
+    /// (Algorithm 3).
+    pub fn of(sketch: &HyperMinHash) -> Self {
+        Self::new(sketch.params(), sketch.cardinality())
+    }
+
+    /// The cardinality this profile was built from.
+    pub fn cardinality(&self) -> f64 {
+        self.cardinality
+    }
+
+    /// The per-box factors `f_i(n)`, `i = 1..=cap`; empty when the first
+    /// branch cannot apply.
+    pub fn hll_factors(&self) -> &[f64] {
+        &self.hll_factors[..self.len]
+    }
+}
+
+/// Largest cardinality Algorithm 6 takes through its first branch.
+fn small_ceiling(params: HmhParams) -> f64 {
+    2f64.powi(params.p() as i32 + 5)
+}
 
 /// Algorithm 6: fast, numerically-stable approximation of the expected
 /// collisions between sketches of disjoint sets of sizes `n`, `m`.
@@ -31,7 +98,24 @@ pub const ASYMPTOTIC_COLLISION_CONSTANT: f64 = 0.169_919_487_159_739_1;
 /// approximations actually fail "around n > 2^{2^q+p}"; we use the
 /// tighter, correct ceiling, shifted for the packed-register cap.)
 pub fn approx_expected_collisions(params: HmhParams, n: f64, m: f64) -> Result<f64, HmhError> {
-    let (n, m) = if n >= m { (n, m) } else { (m, n) };
+    approx_expected_collisions_of(
+        params,
+        &CollisionProfile::new(params, n),
+        &CollisionProfile::new(params, m),
+    )
+}
+
+/// [`approx_expected_collisions`] from the two sides' profiles.
+///
+/// # Errors
+/// As [`approx_expected_collisions`].
+pub fn approx_expected_collisions_of(
+    params: HmhParams,
+    a: &CollisionProfile,
+    b: &CollisionProfile,
+) -> Result<f64, HmhError> {
+    let (big, small) = if a.cardinality >= b.cardinality { (a, b) } else { (b, a) };
+    let (n, m) = (big.cardinality, small.cardinality);
     if n <= 0.0 || m <= 0.0 {
         return Ok(0.0);
     }
@@ -40,15 +124,14 @@ pub fn approx_expected_collisions(params: HmhParams, n: f64, m: f64) -> Result<f
         return Err(HmhError::CardinalityTooLarge { n, limit });
     }
     let r_scale = 2f64.powi(-(params.r() as i32));
-    if n > 2f64.powi(params.p() as i32 + 5) {
+    if n > small_ceiling(params) {
         let ratio = n / m;
         let phi = 4.0 * ratio / ((1.0 + ratio) * (1.0 + ratio));
         Ok(ASYMPTOTIC_COLLISION_CONSTANT * 2f64.powi(params.p() as i32) * r_scale * phi)
     } else {
         // HyperLogLog-box collisions (r = 0) spread across the 2^r
         // sub-boxes along each box's diagonal.
-        let hll_collisions =
-            super::exact::expected_hll_collisions(params.p(), params.cap(), n, m);
+        let hll_collisions = hll_collisions_of(params.p(), big.hll_factors(), small.hll_factors());
         Ok(hll_collisions * r_scale)
     }
 }

@@ -23,8 +23,10 @@
 //!   to certify the log-space version (see tests) and as the reference for
 //!   EXPERIMENTS.md.
 
+use std::sync::OnceLock;
+
 use crate::params::HmhParams;
-use hmh_math::logspace::pow1m_diff;
+use hmh_math::logspace::{pow1m_diff, Pow1mDiff};
 use hmh_math::{BigFloat, KahanSum};
 
 /// Interval boundaries `(s₁, s₂)` of register `(i, j)` *before* the `2^p`
@@ -76,21 +78,64 @@ pub fn single_bucket_collision_probability(q: u32, r: u32, n: f64, m: f64) -> f6
 
 /// Expected collisions of the LogLog counters alone (`r = 0` in the
 /// pseudocode — registers match when the minima merely agree in order of
-/// magnitude, Figure 2). Used by Algorithm 6's small-cardinality branch.
-pub fn expected_hll_collisions(p: u32, cap: u32, n: f64, m: f64) -> f64 {
+/// magnitude, Figure 2): Algorithm 6's small-cardinality branch.
+///
+/// The sum factors per side, `2^p · Σᵢ f_i(n) · f_i(m)`, so it is computed
+/// as the dot product of the two sides' `hll_box_factors` — the same body
+/// Algorithm 6 runs on two memoized `CollisionProfile`s.
+pub fn expected_hll_collisions(params: HmhParams, n: f64, m: f64) -> f64 {
     if n == 0.0 || m == 0.0 {
         return 0.0;
     }
+    let cap = params.cap() as usize;
+    let (mut n_factors, mut m_factors) = (vec![0.0; cap], vec![0.0; cap]);
+    hll_box_factors(params, n, &mut n_factors);
+    hll_box_factors(params, m, &mut m_factors);
+    hll_collisions_of(params.p(), &n_factors, &m_factors)
+}
+
+/// One side's factors of [`expected_hll_collisions`], written to `out`
+/// (`cap` slots): `f_i(x) = (1 − b₁ᵢ)ˣ − (1 − b₂ᵢ)ˣ` for each LogLog box
+/// `i = 1..=cap`, a function of that side's cardinality `x` alone.
+pub(crate) fn hll_box_factors(params: HmhParams, x: f64, out: &mut [f64]) {
+    debug_assert_eq!(out.len(), params.cap() as usize);
+    for (kernel, f) in hll_boxes(params).iter().zip(out) {
+        *f = kernel.eval(x);
+    }
+}
+
+/// The `cap` LogLog boxes of `params` as [`Pow1mDiff`] kernels. They
+/// depend on `(p, q)` alone, so each shape's are built once per process
+/// and every later profile costs one `exp` and one `exp_m1` per box.
+fn hll_boxes(params: HmhParams) -> &'static [Pow1mDiff] {
+    // `HmhParams::new` bounds p by 24 and q to 1..=6.
+    static BOXES: [[OnceLock<Box<[Pow1mDiff]>>; 6]; 25] =
+        [const { [const { OnceLock::new() }; 6] }; 25];
+    let (p, cap) = (params.p(), params.cap());
+    BOXES[p as usize][params.q() as usize - 1].get_or_init(|| {
+        (1..=cap)
+            .map(|i| {
+                // r = 0 collapses the inner sum to j = 0: the full LogLog
+                // box [2^{-i}, 2^{-i+1}) for i < cap, [0, 2^{-cap+1}) at
+                // the cap.
+                let (b1, b2) = if i < cap {
+                    (2f64.powi(-((i + p) as i32)), 2f64.powi(-((i + p) as i32 - 1)))
+                } else {
+                    (0.0, 2f64.powi(-((cap + p) as i32 - 1)))
+                };
+                Pow1mDiff::new(b1, b2)
+            })
+            .collect()
+    })
+}
+
+/// `2^p · Σᵢ f_i(n) · f_i(m)` from the two sides' `hll_box_factors`,
+/// Kahan-summed in box order.
+pub(crate) fn hll_collisions_of(p: u32, n_factors: &[f64], m_factors: &[f64]) -> f64 {
+    debug_assert_eq!(n_factors.len(), m_factors.len());
     let mut total = KahanSum::new();
-    for i in 1..=cap {
-        // r = 0 collapses the inner sum to j = 0: the full LogLog box
-        // [2^{-i}, 2^{-i+1}) for i < cap, [0, 2^{-cap+1}) at the cap.
-        let (b1, b2) = if i < cap {
-            (2f64.powi(-((i + p) as i32)), 2f64.powi(-((i + p) as i32 - 1)))
-        } else {
-            (0.0, 2f64.powi(-((cap + p) as i32 - 1)))
-        };
-        total.add(pow1m_diff(b1, b2, n) * pow1m_diff(b1, b2, m));
+    for (f_n, f_m) in n_factors.iter().zip(m_factors) {
+        total.add(f_n * f_m);
     }
     total.total() * 2f64.powi(p as i32)
 }

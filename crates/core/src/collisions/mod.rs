@@ -12,6 +12,6 @@ pub mod approx;
 pub mod bounds;
 pub mod exact;
 
-pub use approx::approx_expected_collisions;
+pub use approx::{approx_expected_collisions, approx_expected_collisions_of, CollisionProfile};
 pub use bounds::{theorem1_bound, theorem2_variance_bound};
 pub use exact::{expected_collisions, expected_collisions_bigfloat};

@@ -5,7 +5,7 @@
 //! of accidental collisions `EC` first ("generally not needed, except for
 //! really small Jaccard index"): `t̂ = (C − EC)/N`.
 
-use crate::collisions::{approx_expected_collisions, expected_collisions};
+use crate::collisions::{approx_expected_collisions_of, expected_collisions, CollisionProfile};
 use crate::error::HmhError;
 use crate::registers::{self, Lane, Lanes};
 use crate::sketch::HyperMinHash;
@@ -65,6 +65,27 @@ pub fn jaccard(
     b: &HyperMinHash,
     correction: CollisionCorrection,
 ) -> Result<JaccardEstimate, HmhError> {
+    if correction == CollisionCorrection::None {
+        // The raw ratio reads neither side's estimate: skip Algorithm 3.
+        let empty = &CollisionProfile::EMPTY;
+        return jaccard_with(a, b, correction, empty, empty);
+    }
+    jaccard_with(a, b, correction, &CollisionProfile::of(a), &CollisionProfile::of(b))
+}
+
+/// Algorithm 4 with each side's estimates supplied by the caller:
+/// `profile_a` must be [`CollisionProfile::of`]`(a)` and `profile_b` that
+/// of `b`. Both are functions of one sketch alone, so a caller holding
+/// them (the store memoizes one per stored value) skips Algorithm 3 and
+/// Algorithm 6's per-side work. [`CollisionCorrection::None`] reads
+/// neither.
+pub fn jaccard_with(
+    a: &HyperMinHash,
+    b: &HyperMinHash,
+    correction: CollisionCorrection,
+    profile_a: &CollisionProfile,
+    profile_b: &CollisionProfile,
+) -> Result<JaccardEstimate, HmhError> {
     a.check_compatible(b)?;
     let params = a.params();
     let empty = registers::mantissa_mask(params);
@@ -79,14 +100,10 @@ pub fn jaccard(
     let ec = match correction {
         CollisionCorrection::None => 0.0,
         CollisionCorrection::Approx => {
-            let n = a.cardinality();
-            let m = b.cardinality();
-            approx_expected_collisions(params, n, m).unwrap_or(0.0)
+            approx_expected_collisions_of(params, profile_a, profile_b).unwrap_or(0.0)
         }
         CollisionCorrection::Exact => {
-            let n = a.cardinality();
-            let m = b.cardinality();
-            expected_collisions(params, n, m)
+            expected_collisions(params, profile_a.cardinality(), profile_b.cardinality())
         }
     };
 

@@ -8,9 +8,15 @@
 //! requires the lane kernels to agree with it exactly: the same `HMH1`
 //! bytes after inserts, merges and `reduce_r`, the same Jaccard counts,
 //! and the same bits of every floating-point estimate.
+//!
+//! [`approx_expected_collisions`] likewise keeps Algorithm 6 as it was
+//! before its small-cardinality branch became a dot product of per-side
+//! profiles, for a bit-exact differential against the profiled form.
 
 use crate::cardinality::CardinalityEstimator;
-use crate::collisions::{approx_expected_collisions, expected_collisions};
+use crate::collisions::approx::ASYMPTOTIC_COLLISION_CONSTANT;
+use crate::collisions::expected_collisions;
+use crate::error::HmhError;
 use crate::format::{algorithm_to_byte, MAGIC, VERSION};
 use crate::jaccard::CollisionCorrection;
 use crate::params::HmhParams;
@@ -19,6 +25,7 @@ use hmh_hash::xxhash::xxh64;
 use hmh_hash::{HashableItem, RandomOracle};
 use hmh_hll::estimators::estimate as hll_estimate;
 use hmh_hll::registers::BitPacked;
+use hmh_math::logspace::pow1m;
 use hmh_math::KahanSum;
 
 /// The paper-style monotone rank, `(word | mask) − (word & mask)`.
@@ -30,6 +37,51 @@ pub(crate) fn rank(params: HmhParams, word: Word) -> u32 {
 /// Whether `candidate` survives a union against `incumbent`.
 fn beats(params: HmhParams, candidate: Word, incumbent: Word) -> bool {
     rank(params, candidate) > rank(params, incumbent)
+}
+
+/// Algorithm 6 with its small-cardinality branch summed box by box in
+/// one loop over both sides.
+pub(crate) fn approx_expected_collisions(
+    params: HmhParams,
+    n: f64,
+    m: f64,
+) -> Result<f64, HmhError> {
+    let (n, m) = if n >= m { (n, m) } else { (m, n) };
+    if n <= 0.0 || m <= 0.0 {
+        return Ok(0.0);
+    }
+    let limit = 2f64.powi((params.cap() - 1 + params.p()) as i32);
+    if n > limit {
+        return Err(HmhError::CardinalityTooLarge { n, limit });
+    }
+    let r_scale = 2f64.powi(-(params.r() as i32));
+    if n > 2f64.powi(params.p() as i32 + 5) {
+        let ratio = n / m;
+        let phi = 4.0 * ratio / ((1.0 + ratio) * (1.0 + ratio));
+        return Ok(ASYMPTOTIC_COLLISION_CONSTANT * 2f64.powi(params.p() as i32) * r_scale * phi);
+    }
+    // The log-space kernel as one expression.
+    let pow1m_diff = |b1: f64, b2: f64, n: f64| {
+        if b1 == b2 || n == 0.0 {
+            return 0.0;
+        }
+        if b2 >= 1.0 {
+            return pow1m(b1, n);
+        }
+        let ratio = (b2 - b1) / (1.0 - b1);
+        pow1m(b1, n) * (-(n * (-ratio).ln_1p()).exp_m1())
+    };
+    let (p, cap) = (params.p(), params.cap());
+    let mut total = KahanSum::new();
+    for i in 1..=cap {
+        let (b1, b2) = if i < cap {
+            (2f64.powi(-((i + p) as i32)), 2f64.powi(-((i + p) as i32 - 1)))
+        } else {
+            (0.0, 2f64.powi(-((cap + p) as i32 - 1)))
+        };
+        total.add(pow1m_diff(b1, b2, n) * pow1m_diff(b1, b2, m));
+    }
+    Ok(total.total() * 2f64.powi(p as i32) * r_scale)
 }
 
 /// Jaccard result fields, floats as bits.
@@ -256,6 +308,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The profiled Algorithm 6 must reproduce the one-loop form bit for
+    /// bit on every branch: zero, small-cardinality, plateau and
+    /// cardinality-too-large.
+    #[test]
+    fn profiled_algorithm6_matches_the_one_loop_form() {
+        use crate::collisions::{
+            approx_expected_collisions as profiled, approx_expected_collisions_of, CollisionProfile,
+        };
+        let mut rng = StdRng::seed_from_u64(0xa1_6006);
+        // [zero, small, plateau, too large] outcomes seen.
+        let mut seen = [0usize; 4];
+        for _ in 0..4_000 {
+            let q = rng.gen_range(1..=6u32);
+            let r = rng.gen_range(1..=(32 - q).min(24));
+            let params = HmhParams::new(rng.gen_range(0..=24), q, r).expect("valid grid shape");
+            let top = f64::from(params.p() + params.cap() + 2);
+            let draw = |rng: &mut StdRng| match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 => rng.gen_range(0.0..1.0),
+                _ => 2f64.powf(rng.gen_range(0.0..top)),
+            };
+            let (n, m) = (draw(&mut rng), draw(&mut rng));
+            let want = approx_expected_collisions(params, n, m);
+            let got = profiled(params, n, m);
+            let (pn, pm) = (CollisionProfile::new(params, n), CollisionProfile::new(params, m));
+            let what = format!("{params:?} n={n} m={m}");
+            match (&want, &got) {
+                (Ok(w), Ok(g)) => assert_eq!(w.to_bits(), g.to_bits(), "{what}"),
+                _ => assert_eq!(want, got, "{what}"),
+            }
+            let of = approx_expected_collisions_of(params, &pn, &pm);
+            assert_eq!(got.map(f64::to_bits), of.map(f64::to_bits), "{what}: profiles");
+            let big = n.max(m);
+            seen[match want {
+                Err(_) => 3,
+                Ok(_) if n.min(m) <= 0.0 => 0,
+                Ok(_) if big > 2f64.powi(params.p() as i32 + 5) => 2,
+                Ok(_) => 1,
+            }] += 1;
+        }
+        assert!(seen.iter().all(|&k| k > 100), "every branch exercised: {seen:?}");
     }
 
     /// One sketch in both representations, fed identical observations.

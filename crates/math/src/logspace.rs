@@ -43,18 +43,57 @@ pub fn pow1m(b: f64, n: f64) -> f64 {
 /// ~1 ulp relative accuracy across the entire range.
 #[inline]
 pub fn pow1m_diff(b1: f64, b2: f64, n: f64) -> f64 {
-    debug_assert!(b1 <= b2, "b1 {b1} > b2 {b2}");
-    if b1 == b2 || n == 0.0 {
-        return 0.0;
+    Pow1mDiff::new(b1, b2).eval(n)
+}
+
+/// [`pow1m_diff`] over one fixed interval `[b₁, b₂)`, with the two logs
+/// that depend only on the interval taken once: each [`Self::eval`]
+/// then costs one `exp` and one `exp_m1`, and returns the same bits as
+/// [`pow1m_diff`] (which is this kernel evaluated once).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pow1mDiff {
+    b1: f64,
+    /// `ln(1 − b₁)`.
+    ln_head: f64,
+    /// `ln((1 − b₂)/(1 − b₁))`; `None` when `b₂ ≥ 1`, where `(1 − b₂)^n`
+    /// is 0 and only the head power remains.
+    log_ratio: Option<f64>,
+    /// `b₁ = b₂`: the interval is empty.
+    empty: bool,
+}
+
+impl Pow1mDiff {
+    /// The kernel for `[b₁, b₂)`, `0 ≤ b₁ ≤ b₂ ≤ 1`.
+    #[inline]
+    pub fn new(b1: f64, b2: f64) -> Self {
+        debug_assert!(b1 <= b2, "b1 {b1} > b2 {b2}");
+        debug_assert!((0.0..=1.0).contains(&b1), "b out of range: {b1}");
+        // ln((1-b2)/(1-b1)) = ln(1 - (b2-b1)/(1-b1)), computed with one ln_1p.
+        let log_ratio = if b2 >= 1.0 { None } else { Some((-((b2 - b1) / (1.0 - b1))).ln_1p()) };
+        Self { b1, ln_head: (-b1).ln_1p(), log_ratio, empty: b1 == b2 }
     }
-    if b2 >= 1.0 {
-        return pow1m(b1, n);
+
+    /// `(1 - b₁)^n − (1 - b₂)^n`.
+    #[inline]
+    pub fn eval(&self, n: f64) -> f64 {
+        debug_assert!(n >= 0.0, "negative exponent: {n}");
+        if self.empty || n == 0.0 {
+            return 0.0;
+        }
+        // (1-b1)^n, exactly as `pow1m` computes it for n > 0.
+        let head = if self.b1 == 0.0 {
+            1.0
+        } else if self.b1 == 1.0 {
+            0.0
+        } else {
+            (n * self.ln_head).exp()
+        };
+        match self.log_ratio {
+            // (1-b1)^n · (1 - exp(n·log_ratio)); the second factor via exp_m1.
+            Some(log_ratio) => head * (-(n * log_ratio).exp_m1()),
+            None => head,
+        }
     }
-    // ln((1-b2)/(1-b1)) = ln(1 - (b2-b1)/(1-b1)), computed with one ln_1p.
-    let ratio = (b2 - b1) / (1.0 - b1);
-    let log_ratio = (-ratio).ln_1p();
-    // (1-b1)^n · (1 - exp(n·log_ratio)); the second factor via exp_m1.
-    pow1m(b1, n) * (-(n * log_ratio).exp_m1())
 }
 
 /// `n·ln(1 - b)` — the log of [`pow1m`], for when the power itself would
@@ -132,6 +171,34 @@ mod tests {
         let naive = (1.0f64 - b1).powi(7) - (1.0f64 - b2).powi(7);
         let got = pow1m_diff(b1, b2, n);
         assert!((got - naive).abs() < 1e-15);
+    }
+
+    /// The kernel as one expression, the form `Pow1mDiff` split in two.
+    fn one_shot(b1: f64, b2: f64, n: f64) -> f64 {
+        if b1 == b2 || n == 0.0 {
+            return 0.0;
+        }
+        if b2 >= 1.0 {
+            return pow1m(b1, n);
+        }
+        let ratio = (b2 - b1) / (1.0 - b1);
+        pow1m(b1, n) * (-(n * (-ratio).ln_1p()).exp_m1())
+    }
+
+    #[test]
+    fn split_kernel_is_bit_identical_to_the_one_shot_form() {
+        let bounds = [0.0, 1e-300, 2f64.powi(-60), 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0];
+        let ns = [0.0, 1e-3, 1.0, 3.0, 1e3, 123_456.7, 1e12, 1e19, 1e300];
+        for (i, &b1) in bounds.iter().enumerate() {
+            for &b2 in &bounds[i..] {
+                let kernel = Pow1mDiff::new(b1, b2);
+                for &n in &ns {
+                    let want = one_shot(b1, b2, n);
+                    assert_eq!(kernel.eval(n).to_bits(), want.to_bits(), "[{b1}, {b2}) n={n}");
+                    assert_eq!(pow1m_diff(b1, b2, n).to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,10 +34,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hmh_core::format;
+use hmh_core::format::{self, FormatError};
+use hmh_core::jaccard::{jaccard_with, CollisionCorrection};
 use hmh_core::{HmhParams, HyperMinHash};
 use hmh_hash::RandomOracle;
-use hmh_store::{FileBackend, RetryPolicy, SketchStore, StoreError, StoreOptions, SCRUB_SLICE_BYTES};
+use hmh_store::{
+    Entry, FileBackend, RetryPolicy, SketchStore, StoreError, StoreOptions, SCRUB_SLICE_BYTES,
+};
 
 use crate::proto::{
     decode_request_budget, encode_response, write_frame, write_frames_vectored, DigestEntry,
@@ -557,26 +560,16 @@ fn handle_request(shared: &Shared, request: Request) -> (Response, Disposition) 
         Request::BatchPut { name, p, q, r, algorithm, seed, items } => {
             batch_put(shared, &name, (p, q, r), algorithm, seed, &items)
         }
-        Request::Get { name } => {
-            let store = shared.store();
-            match store.get_encoded(&name) {
-                Some(bytes) => Response::Sketch(bytes.to_vec()),
-                // A fenced name is typed, never a torn payload and never
-                // a silent NOT_FOUND that would let a caller conclude
-                // the data never existed.
-                None if store.is_quarantined(&name) => quarantined(&name),
-                None => not_found(&name),
-            }
-        }
+        Request::Get { name } => match stored(shared, &name) {
+            Ok(entry) => Response::Sketch(entry.bytes().to_vec()),
+            Err(resp) => resp,
+        },
         Request::Card { name } => match decoded(shared, &name) {
-            Ok(sketch) => Response::Value(sketch.cardinality()),
+            Ok(entry) => entry.cardinality().map_or_else(bad_sketch, Response::Value),
             Err(resp) => resp,
         },
         Request::Jaccard { a, b } => match (decoded(shared, &a), decoded(shared, &b)) {
-            (Ok(sa), Ok(sb)) => match sa.jaccard(&sb) {
-                Ok(j) => Response::Value(j.estimate),
-                Err(e) => Response::Err { code: ErrCode::Incompatible, message: e.to_string() },
-            },
+            (Ok(ea), Ok(eb)) => jaccard_op(&ea, &eb).unwrap_or_else(bad_sketch),
             (Err(resp), _) | (_, Err(resp)) => resp,
         },
         Request::List => Response::Names(shared.store().names().map(str::to_string).collect()),
@@ -681,17 +674,49 @@ fn scrub_op(shared: &Shared, trigger: bool, after: &str) -> Response {
     })
 }
 
+/// The entry stored under `name`. The store lock is held only to clone
+/// the entry's `Arc`: decoding and estimating happen outside it, each at
+/// most once per stored value.
 // The Err variant is a ready-to-send Response (Health grew past the
 // clippy size bar); it is written to the socket immediately, never
 // propagated, so boxing would only add an allocation on the error path.
 #[allow(clippy::result_large_err)]
-fn decoded(shared: &Shared, name: &str) -> Result<HyperMinHash, Response> {
+fn stored(shared: &Shared, name: &str) -> Result<Arc<Entry>, Response> {
     let store = shared.store();
-    let Some(bytes) = store.get_encoded(name) else {
-        return Err(if store.is_quarantined(name) { quarantined(name) } else { not_found(name) });
-    };
-    format::decode(bytes)
-        .map_err(|e| Response::Err { code: ErrCode::BadSketch, message: e.to_string() })
+    // A fenced name is typed, never a torn payload and never a silent
+    // NOT_FOUND that would let a caller conclude the data never existed.
+    store.entry(name).ok_or_else(|| {
+        if store.is_quarantined(name) {
+            quarantined(name)
+        } else {
+            not_found(name)
+        }
+    })
+}
+
+/// [`stored`], with the entry's sketch decoded (on first read) and so
+/// validated: a payload that fails decode answers a typed BAD_SKETCH.
+#[allow(clippy::result_large_err)]
+fn decoded(shared: &Shared, name: &str) -> Result<Arc<Entry>, Response> {
+    let entry = stored(shared, name)?;
+    entry.sketch().map_err(bad_sketch)?;
+    Ok(entry)
+}
+
+fn bad_sketch(e: FormatError) -> Response {
+    Response::Err { code: ErrCode::BadSketch, message: e.to_string() }
+}
+
+/// JACCARD from two entries' memoized sketches and estimates: Algorithm 4
+/// with the default correction, bit-identical to decoding both payloads
+/// and calling [`HyperMinHash::jaccard`].
+fn jaccard_op(a: &Entry, b: &Entry) -> Result<Response, FormatError> {
+    let (sa, sb) = (a.sketch()?, b.sketch()?);
+    let (pa, pb) = (a.profile()?, b.profile()?);
+    Ok(match jaccard_with(sa, sb, CollisionCorrection::Approx, pa, pb) {
+        Ok(j) => Response::Value(j.estimate),
+        Err(e) => Response::Err { code: ErrCode::Incompatible, message: e.to_string() },
+    })
 }
 
 /// PUT and MERGE: validate before touching the store, refuse in
@@ -700,31 +725,34 @@ fn write_op(shared: &Shared, name: &str, payload: Vec<u8>, merge: bool) -> Respo
     if shared.read_only.load(Ordering::SeqCst) {
         return Response::ReadOnly;
     }
-    // Decode up front: hostile payloads are a protocol error, not a
-    // store error, and must not consume a write.
-    let incoming = match format::decode(&payload) {
-        Ok(sketch) => sketch,
-        Err(e) => {
-            return Response::Err { code: ErrCode::BadSketch, message: e.to_string() };
-        }
+    // Decode up front, outside the store lock: hostile payloads are a
+    // protocol error, not a store error, and must not consume a write.
+    // The decoded sketch travels with the bytes, so the store never
+    // decodes them again.
+    let incoming = match Entry::decode(payload) {
+        Ok(entry) => entry,
+        Err(e) => return bad_sketch(e),
     };
 
     let mut store = shared.store();
-    let result = if merge {
-        match store.get_encoded(name).map(format::decode) {
-            // Existing sketch decodes: fold the incoming one in.
-            Some(Ok(mut existing)) => match existing.merge(&incoming) {
-                Ok(()) => store.put(name, &existing),
+    let existing = if merge { store.entry(name) } else { None };
+    let result = match existing.as_deref().map(Entry::sketch) {
+        // Existing sketch decodes: fold the incoming one into a copy of
+        // it (the stored entry stays immutable) and store that.
+        Some(Ok(existing)) => {
+            let mut merged = existing.clone();
+            let incoming =
+                incoming.sketch().expect("invariant: Entry::decode keeps the decoded sketch");
+            match merged.merge(incoming) {
+                Ok(()) => store.put_entry(name, Entry::encode(merged)),
                 Err(e) => {
                     return Response::Err { code: ErrCode::Incompatible, message: e.to_string() };
                 }
-            },
-            // No existing sketch: merge degenerates to put.
-            None => store.put_encoded(name, &payload),
-            Some(Err(e)) => Err(StoreError::Format(e)),
+            }
         }
-    } else {
-        store.put_encoded(name, &payload)
+        Some(Err(e)) => Err(StoreError::Format(e)),
+        // PUT, or MERGE with no existing sketch (merge degenerates to put).
+        None => store.put_entry(name, incoming),
     };
     drop(store);
     commit_result(shared, result)
@@ -760,7 +788,8 @@ fn batch_put(
     // Hold the store lock across read-modify-write so concurrent batches
     // to the same name serialize instead of losing updates.
     let mut store = shared.store();
-    let mut sketch = match store.get_encoded(name).map(format::decode) {
+    let existing = store.entry(name);
+    let mut sketch = match existing.as_deref().map(Entry::sketch) {
         Some(Ok(existing)) => {
             if existing.params() != params || existing.oracle() != oracle {
                 return Response::Err {
@@ -771,16 +800,14 @@ fn batch_put(
                     ),
                 };
             }
-            existing
+            existing.clone()
         }
-        Some(Err(e)) => {
-            return Response::Err { code: ErrCode::BadSketch, message: e.to_string() }
-        }
+        Some(Err(e)) => return bad_sketch(e),
         None => HyperMinHash::with_oracle(params, oracle),
     };
     let slices: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
     sketch.insert_batch(&slices);
-    let result = store.put(name, &sketch);
+    let result = store.put_entry(name, Entry::encode(sketch));
     drop(store);
     commit_result(shared, result)
 }
@@ -1082,6 +1109,115 @@ mod tests {
                 }
                 other => panic!("background scrub never completed a pass: {other:?}"),
             }
+        }
+        drop(conn);
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn value(conn: &mut TcpStream, req: &Request) -> u64 {
+        match exchange(conn, req) {
+            Response::Value(v) => v.to_bits(),
+            other => panic!("expected Value for {req:?}, got {other:?}"),
+        }
+    }
+
+    fn stored_bytes(conn: &mut TcpStream, name: &str) -> Vec<u8> {
+        match exchange(conn, &Request::Get { name: name.into() }) {
+            Response::Sketch(bytes) => bytes,
+            other => panic!("expected Sketch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn card_and_jaccard_replies_equal_decode_then_recompute() {
+        let dir = tmpdir("memo");
+        let opts = ServeOptions { scrub_interval: Duration::ZERO, ..test_opts() };
+        {
+            // Replayed at open: these decode on first read.
+            let mut store = SketchStore::open_opts(&dir, StoreOptions::no_sleep()).unwrap();
+            store.put_encoded("old", &sketch_bytes(0, 3_000)).unwrap();
+        }
+        let handle = serve(&dir, "127.0.0.1:0", opts).unwrap();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        // Both sides of Algorithm 6's branch point (2^{p+5} = 2,048).
+        for (name, lo, hi) in [("small", 500, 1_500), ("large", 1_000, 9_000)] {
+            let put = Request::Put { name: name.into(), sketch: sketch_bytes(lo, hi) };
+            assert_eq!(exchange(&mut conn, &put), Response::Ok);
+        }
+        let merge = Request::Merge { name: "large".into(), sketch: sketch_bytes(20_000, 21_000) };
+        let names = ["old", "small", "large"];
+        // The first pass computes, later passes read the memo, and a
+        // MERGE between the last two replaces a value already read.
+        for pass in 0..3 {
+            let decoded: Vec<HyperMinHash> = names
+                .iter()
+                .map(|n| format::decode(&stored_bytes(&mut conn, n)).unwrap())
+                .collect();
+            for (i, a) in names.iter().enumerate() {
+                let card = Request::Card { name: (*a).into() };
+                let want = decoded[i].cardinality().to_bits();
+                assert_eq!(value(&mut conn, &card), want, "pass {pass}: CARD {a}");
+                for (j, b) in names.iter().enumerate() {
+                    let jac = Request::Jaccard { a: (*a).into(), b: (*b).into() };
+                    let want = decoded[i].jaccard(&decoded[j]).unwrap().estimate.to_bits();
+                    assert_eq!(value(&mut conn, &jac), want, "pass {pass}: JACCARD {a} {b}");
+                }
+            }
+            if pass == 1 {
+                assert_eq!(exchange(&mut conn, &merge), Response::Ok);
+            }
+        }
+        drop(conn);
+        handle.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn assert_bad_sketch(resp: Response, what: &str) {
+        match resp {
+            Response::Err { code: ErrCode::BadSketch, .. } => {}
+            other => panic!("{what}: expected BadSketch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replayed_record_with_an_invalid_payload_stays_bad_sketch() {
+        use hmh_store::log::{encode_record, RecordKind};
+        let dir = tmpdir("badpayload");
+        // A record whose checksum holds over a payload that is not HMH1:
+        // the salvage scan keeps it, so only the decode can refuse it.
+        let mut wal = encode_record("good", RecordKind::Put, &sketch_bytes(0, 400));
+        wal.extend(encode_record("junk", RecordKind::Put, b"HMH1 but not really a sketch"));
+        std::fs::write(dir.join(hmh_store::WAL_FILE), &wal).unwrap();
+
+        let opts = ServeOptions { scrub_interval: Duration::ZERO, ..test_opts() };
+        let handle = serve(&dir, "127.0.0.1:0", opts).unwrap();
+        let mut conn = TcpStream::connect(handle.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        for round in 0..2 {
+            let what = format!("round {round}");
+            assert_bad_sketch(exchange(&mut conn, &Request::Card { name: "junk".into() }), &what);
+            for (a, b) in [("junk", "good"), ("good", "junk"), ("junk", "junk")] {
+                let req = Request::Jaccard { a: a.into(), b: b.into() };
+                assert_bad_sketch(exchange(&mut conn, &req), &what);
+            }
+        }
+        assert!(matches!(
+            exchange(&mut conn, &Request::Card { name: "good".into() }),
+            Response::Value(_)
+        ));
+
+        // A hostile PUT is refused before the store: no write consumed,
+        // and the daemon stays writable.
+        let wal_len = || std::fs::metadata(dir.join(hmh_store::WAL_FILE)).unwrap().len();
+        let before = wal_len();
+        let hostile = Request::Put { name: "good".into(), sketch: b"HMH1 garbage".to_vec() };
+        assert_bad_sketch(exchange(&mut conn, &hostile), "hostile PUT");
+        assert_eq!(wal_len(), before, "a refused PUT appends nothing");
+        match exchange(&mut conn, &Request::Health) {
+            Response::Health(h) => assert!(!h.read_only, "{h:?}"),
+            other => panic!("expected Health, got {other:?}"),
         }
         drop(conn);
         handle.join();

@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
+pub mod entry;
 pub mod fault;
 pub mod lock;
 pub mod log;
@@ -46,6 +47,7 @@ pub mod retry;
 pub mod store;
 
 pub use backend::{atomic_write, atomic_write_file, sibling_tmp, Backend, FileBackend};
+pub use entry::Entry;
 pub use fault::{BitRotPlan, Fault, FaultPlan, FaultyIo, MemBackend};
 pub use lock::{LockError, StoreLock, LOCK_FILE};
 pub use log::{CorruptSpan, Record, RecordKind, RecoveryReport, Salvage, ScanStep, DIGEST_SEED};

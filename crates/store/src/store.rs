@@ -17,17 +17,23 @@
 //! failed append), append the record, fsync — all under bounded retry
 //! for transient errors. A record is acknowledged only after its fsync
 //! succeeds, so an acknowledged record survives any later crash.
+//!
+//! In memory each live name maps to a shared, immutable [`Entry`]: the
+//! stored bytes plus the decoded sketch and its estimates, each derived
+//! at most once. A write swaps in a new entry; readers clone the `Arc`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
-use hmh_core::format::{self, FormatError};
+use hmh_core::format::FormatError;
 use hmh_core::HyperMinHash;
 
 use crate::backend::{atomic_write, Backend, FileBackend};
+use crate::entry::Entry;
 use crate::lock::{LockError, StoreLock};
 use crate::log::{
     encode_record, salvage_scan, scan_step, CorruptSpan, Record, RecordKind, RecoveryReport,
@@ -190,7 +196,7 @@ enum ScrubFile {
 pub struct SketchStore<B: Backend> {
     backend: B,
     dir: PathBuf,
-    entries: BTreeMap<String, Vec<u8>>,
+    entries: BTreeMap<String, Arc<Entry>>,
     /// Known-good WAL length: bytes up to and including the last record
     /// this process successfully fsynced (or salvaged at open).
     wal_len: u64,
@@ -350,18 +356,21 @@ impl<B: Backend> SketchStore<B> {
     /// The payload is validated before anything touches disk, so the
     /// store never persists bytes it could not decode back.
     pub fn put_encoded(&mut self, name: &str, payload: &[u8]) -> Result<(), StoreError> {
-        format::decode(payload)?;
-        self.append_record(name, RecordKind::Put, payload)?;
-        self.entries.insert(name.to_string(), payload.to_vec());
-        self.release_quarantine(name);
-        Ok(())
+        self.put_entry(name, Entry::decode(payload.to_vec())?)
     }
 
     /// Store a sketch under `name`, durably.
     pub fn put(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), StoreError> {
-        let payload = format::encode(sketch);
-        self.append_record(name, RecordKind::Put, &payload)?;
-        self.entries.insert(name.to_string(), payload);
+        self.put_entry(name, Entry::encode(sketch.clone()))
+    }
+
+    /// Store `entry` under `name`, durably. An entry's bytes were either
+    /// validated ([`Entry::decode`]) or encoded ([`Entry::encode`]), so
+    /// callers that already decoded a payload outside any lock pay for no
+    /// second decode here.
+    pub fn put_entry(&mut self, name: &str, entry: Entry) -> Result<(), StoreError> {
+        self.append_record(name, RecordKind::Put, entry.bytes())?;
+        self.entries.insert(name.to_string(), Arc::new(entry));
         self.release_quarantine(name);
         Ok(())
     }
@@ -370,7 +379,14 @@ impl<B: Backend> SketchStore<B> {
     /// hold no payload; callers that must distinguish "absent" from
     /// "fenced" check [`Self::is_quarantined`].
     pub fn get_encoded(&self, name: &str) -> Option<&[u8]> {
-        self.entries.get(name).map(Vec::as_slice)
+        self.entries.get(name).map(|entry| entry.bytes())
+    }
+
+    /// The entry stored under `name`, if any: a shared handle that stays
+    /// valid (and unchanged) after the store lock that guards `self` is
+    /// released, so its sketch and estimates can be read outside it.
+    pub fn entry(&self, name: &str) -> Option<Arc<Entry>> {
+        self.entries.get(name).cloned()
     }
 
     /// Decoded sketch stored under `name`, if any. A quarantined name is
@@ -378,7 +394,7 @@ impl<B: Backend> SketchStore<B> {
     /// fenced until repaired.
     pub fn get(&self, name: &str) -> Result<Option<HyperMinHash>, StoreError> {
         match self.entries.get(name) {
-            Some(payload) => Ok(Some(format::decode(payload)?)),
+            Some(entry) => Ok(Some(entry.sketch()?.clone())),
             None if self.quarantine.contains(name) => {
                 Err(StoreError::CorruptQuarantined(name.to_string()))
             }
@@ -485,7 +501,7 @@ impl<B: Backend> SketchStore<B> {
         self.entries
             .range::<str, _>((Bound::Excluded(after), Bound::Unbounded))
             .take(limit)
-            .map(|(name, payload)| (name.clone(), xxh64(payload, DIGEST_SEED)))
+            .map(|(name, entry)| (name.clone(), xxh64(entry.bytes(), DIGEST_SEED)))
             .collect()
     }
 
@@ -504,8 +520,8 @@ impl<B: Backend> SketchStore<B> {
     /// drops any corrupt bytes still sitting in the old files.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let mut snapshot = Vec::new();
-        for (name, payload) in &self.entries {
-            snapshot.extend(encode_record(name, RecordKind::Put, payload));
+        for (name, entry) in &self.entries {
+            snapshot.extend(encode_record(name, RecordKind::Put, entry.bytes()));
         }
         let snapshot_path = self.dir.join(SNAPSHOT_FILE);
         let wal_path = self.dir.join(WAL_FILE);
@@ -714,10 +730,10 @@ impl<B: Backend> SketchStore<B> {
     }
 }
 
-fn apply(entries: &mut BTreeMap<String, Vec<u8>>, record: Record) {
+fn apply(entries: &mut BTreeMap<String, Arc<Entry>>, record: Record) {
     match record.kind {
         RecordKind::Put => {
-            entries.insert(record.name, record.payload);
+            entries.insert(record.name, Arc::new(Entry::replayed(record.payload)));
         }
         RecordKind::Tombstone => {
             entries.remove(&record.name);
