@@ -14,11 +14,12 @@
 //!   bbit         §1.3-1.4 b-bit MinHash accuracy and non-composability
 //!   space-sweep  byte budget × r trade-off surface
 //!   cardinality  Algorithm 3 decade sweep with estimator ablations
+//!   ingest       parallel sharded ingest throughput vs. a sequential build
 //!   all          everything above
 //! ```
 
 use hmh_bench::experiments::{
-    approx, bbit, cardinality, cnf_ie, collisions, fig6, headline, ie_vs_hmh, ingest, route, space_sweep,
+    approx, bbit, cardinality, cnf_ie, collisions, fig6, headline, ie_vs_hmh, ingest, space_sweep,
     variance, Config,
 };
 use hmh_bench::Table;
@@ -78,30 +79,6 @@ fn main() {
             write_csv(dir, table, &mut used_slugs);
         }
     }
-    // The ingest sweep also publishes its machine-readable artifact.
-    if let Some(table) =
-        tables.iter().find(|t| t.title().starts_with("Parallel ingest throughput"))
-    {
-        let path = match &csv_dir {
-            Some(dir) => format!("{dir}/BENCH_ingest.json"),
-            None => "BENCH_ingest.json".to_string(),
-        };
-        std::fs::write(&path, ingest::to_json(table))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    // ... and the routing-tier overhead sweep publishes its own.
-    if let Some(table) =
-        tables.iter().find(|t| t.title().starts_with("Routed vs direct"))
-    {
-        let path = match &csv_dir {
-            Some(dir) => format!("{dir}/BENCH_route.json"),
-            None => "BENCH_route.json".to_string(),
-        };
-        std::fs::write(&path, route::to_json(table))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
 }
 
 fn run_experiment(name: &str, cfg: &Config) -> Vec<Table> {
@@ -117,7 +94,6 @@ fn run_experiment(name: &str, cfg: &Config) -> Vec<Table> {
         "space-sweep" => vec![space_sweep::run(cfg)],
         "cardinality" => vec![cardinality::run(cfg)],
         "ingest" => vec![ingest::run(cfg)],
-        "route" => vec![route::run(cfg)],
         "all" => {
             let mut out = vec![fig6::run(cfg)];
             out.extend(headline::run(cfg));
@@ -130,7 +106,6 @@ fn run_experiment(name: &str, cfg: &Config) -> Vec<Table> {
             out.push(space_sweep::run(cfg));
             out.push(cardinality::run(cfg));
             out.push(ingest::run(cfg));
-            out.push(route::run(cfg));
             out
         }
         other => die(&format!("unknown experiment {other:?}\n{USAGE}")),
@@ -179,8 +154,5 @@ experiments:
   space-sweep  byte budget x r trade-off surface
   cardinality  Algorithm 3 decade sweep with estimator ablations
   ingest       parallel sharded ingest throughput vs. a sequential build
-               (also writes BENCH_ingest.json)
-  route        routed vs direct PUT/CARD overhead over a live 2-group
-               cluster (also writes BENCH_route.json)
   all          everything above
 ";

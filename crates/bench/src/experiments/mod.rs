@@ -11,7 +11,6 @@ pub mod fig6;
 pub mod headline;
 pub mod ie_vs_hmh;
 pub mod ingest;
-pub mod route;
 pub mod space_sweep;
 pub mod variance;
 

@@ -98,7 +98,9 @@ commands:
             put NAME FILE / merge NAME FILE / get NAME OUT
             batch NAME FILE [-p P] [-q Q] [-r R] [--seed S] [--alg A]
                               ingest lines of FILE into NAME server-side
-            card NAME / jaccard A B / list / health / shutdown
+            card NAME / jaccard A B / health / shutdown
+            list              page through every stored name; fails
+                              if a router answers a partial page
             scrub [--status]  trigger a full scrub pass on the server
                               (--status only reads the counters) and
                               list the quarantined names
@@ -869,7 +871,27 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             write_out(out, format!("jaccard {estimate:.6}\n"))
         }
         ("list", []) => {
-            let names = client.list().map_err(|e| fail("list", e))?;
+            // Walk LIST_PAGE from the start; a page shorter than the cap
+            // is the last. A partial page (a router missing a shard) fails
+            // the command, so a short count is never printed as whole.
+            let mut names: Vec<String> = Vec::new();
+            loop {
+                let after = names.last().map_or("", String::as_str);
+                let (page, partial) = client.list_page(after).map_err(|e| fail("list", e))?;
+                if partial {
+                    return Err(CliError::runtime(
+                        "list: a shard was unreachable, so the listing is partial",
+                    ));
+                }
+                if page.last().is_some_and(|name| name.as_str() <= after) {
+                    return Err(CliError::runtime("list: the server's page did not advance"));
+                }
+                let last = page.len() < hmh_serve::MAX_LIST_NAMES;
+                names.extend(page);
+                if last {
+                    break;
+                }
+            }
             for name in &names {
                 write_out(out, format!("{name}\n"))?;
             }
@@ -1680,6 +1702,25 @@ mod tests {
         handle.join();
         // The daemon released the lock; direct store access works again.
         assert!(run_to_string(&["store", &sdir, "list"]).unwrap().contains("2 sketches"));
+    }
+
+    #[test]
+    fn client_list_fails_on_a_partial_page() {
+        use hmh_serve::proto::{encode_response, read_frame, write_frame, MAX_FRAME_LEN};
+        // A stand-in router that answers LIST_PAGE with a partial page,
+        // as a router with a shard down does.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let router = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            read_frame(&mut conn, MAX_FRAME_LEN).unwrap().unwrap();
+            let page = hmh_serve::Response::NamesPage { names: vec!["a".into()], partial: true };
+            write_frame(&mut conn, &encode_response(&page)).unwrap();
+        });
+        let err = run_to_string(&["client", &addr, "list"]).unwrap_err();
+        assert_eq!(err.code, 1);
+        assert!(err.message.contains("listing is partial"), "{err:?}");
+        router.join().unwrap();
     }
 
     /// A `Write` sink shareable with the thread running `hmh route

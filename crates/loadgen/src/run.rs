@@ -18,7 +18,7 @@ use crate::report::{classify, classify_response, Report};
 /// Weights are integers, not probabilities; a zero weight removes the
 /// operation entirely. The default mix is read-heavy (the paper's
 /// serving scenario: many similarity queries against a slowly growing
-/// corpus): 70% CARD, 20% PUT, 9% JACCARD, 1% LIST.
+/// corpus): 70% CARD, 20% PUT, 9% JACCARD, 1% LIST_PAGE.
 #[derive(Debug, Clone, Copy)]
 pub struct Mix {
     /// Weight of PUT (store a full sketch payload).
@@ -27,7 +27,8 @@ pub struct Mix {
     pub card: u32,
     /// Weight of JACCARD (similarity of two named sketches).
     pub jaccard: u32,
-    /// Weight of LIST (whole-store name listing).
+    /// Weight of LIST_PAGE (the first page of stored names; at the
+    /// default key count one page is the whole listing).
     pub list: u32,
 }
 
@@ -275,7 +276,7 @@ fn next_request(rng: &mut SplitMix64, opts: &LoadOptions, payload: &[u8]) -> Req
         Op::Put => Request::Put { name: key_name(key), sketch: payload.to_vec() },
         Op::Card => Request::Card { name: key_name(key) },
         Op::Jaccard => Request::Jaccard { a: key_name(key), b: key_name(key2) },
-        Op::List => Request::List,
+        Op::List => Request::ListPage { after: String::new() },
     }
 }
 
@@ -327,7 +328,7 @@ fn worker(
             Request::Put { name, .. } => classify(&client.put_raw(&name, payload)),
             Request::Card { name } => classify(&client.card(&name)),
             Request::Jaccard { a, b } => classify(&client.jaccard(&a, &b)),
-            _ => classify(&client.list()),
+            _ => classify(&client.list_page("")),
         };
         let latency_us = u64::try_from(op_start.elapsed().as_micros()).unwrap_or(u64::MAX);
         report.record(outcome, latency_us);

@@ -125,8 +125,8 @@ fn rebalance_opts() -> RebalanceOptions {
     }
 }
 
-/// Walk the router's paginated LIST to exhaustion; returns the union
-/// and whether any page was partial.
+/// Walk LIST_PAGE (on a router or a daemon) to exhaustion; returns the
+/// union and whether any page was partial.
 fn list_all(router: &mut Client) -> (BTreeSet<String>, bool) {
     let mut names = BTreeSet::new();
     let mut partial = false;
@@ -194,11 +194,9 @@ fn routed_ops_answer_what_the_owning_daemon_would() {
         via.get(&na).unwrap().jaccard(&via.get(&nb).unwrap()).unwrap().estimate;
     assert_eq!(via.jaccard(&na, &nb).unwrap(), expected);
 
-    // LIST and the paginated walk both cover exactly the put names.
-    let listed: BTreeSet<String> = via.list().unwrap().into_iter().collect();
-    assert_eq!(listed, names.iter().cloned().collect::<BTreeSet<_>>());
+    // The paginated walk covers exactly the put names.
     let (paged, partial) = list_all(&mut via);
-    assert_eq!(paged, listed);
+    assert_eq!(paged, names.iter().cloned().collect::<BTreeSet<_>>());
     assert!(!partial, "no group is down; the page walk must not be partial");
 
     // DELETE through the router removes the name from its group.
@@ -268,15 +266,8 @@ fn partitioned_group_degrades_typed_and_bounded_never_hanging() {
         via.get(name).unwrap();
     }
 
-    // Legacy LIST cannot mark a gap, so it fails typed...
-    match via.list() {
-        Err(ClientError::Server { code: ErrCode::Unavailable, message }) => {
-            assert!(message.contains("LIST_PAGE"), "no pagination hint: {message}");
-        }
-        other => panic!("whole-store LIST with a group down: {other:?}"),
-    }
-    // ...while the paginated walk degrades to exactly the survivor's
-    // names, visibly marked partial.
+    // The paginated walk degrades to exactly the survivor's names,
+    // visibly marked partial.
     let (paged, partial) = list_all(&mut via);
     assert!(partial, "a skipped group must mark the page partial");
     assert_eq!(paged, on_a.iter().map(|n| (*n).clone()).collect::<BTreeSet<_>>());
@@ -334,7 +325,7 @@ fn rebalance_is_lossless_exclusive_and_visible_in_health() {
     // of group c count as one owner), and the union is everything.
     let lists: Vec<BTreeSet<String>> = [a, b, c1]
         .iter()
-        .map(|&addr| client(addr).list().unwrap().into_iter().collect())
+        .map(|&addr| list_all(&mut client(addr)).0)
         .collect();
     let mut union = BTreeSet::new();
     for name in &names {
@@ -430,7 +421,7 @@ fn crashed_and_duplicated_handoffs_are_absorbed() {
     // Nothing lost, nothing double-owned.
     let lists: Vec<BTreeSet<String>> = [a, b, c]
         .iter()
-        .map(|&addr| client(addr).list().unwrap().into_iter().collect())
+        .map(|&addr| list_all(&mut client(addr)).0)
         .collect();
     for name in &names {
         assert_eq!(lists.iter().filter(|l| l.contains(name)).count(), 1, "{name:?}");

@@ -12,7 +12,7 @@
 //! Failures the *server* reports deliberately — NOT_FOUND, READ_ONLY, a
 //! store error — are not retried: they would fail the same way again.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,8 +24,8 @@ use hmh_hash::RandomOracle;
 use hmh_store::RetryPolicy;
 
 use crate::proto::{
-    decode_response, encode_request_budget, read_frame, write_frame, write_frames_vectored,
-    DigestEntry, ErrCode, FrameError, Health, Request, Response, ScrubReport, SyncEntry,
+    decode_response, encode_request_budget, read_frame, write_frames_vectored, DigestEntry,
+    ErrCode, FrameError, Health, ProtoError, Request, Response, ScrubReport, SyncEntry,
     MAX_BATCH_ITEMS, MAX_BUDGET_MS, MAX_FRAME_LEN, MAX_ITEM_LEN, MAX_PIPELINE_DEPTH,
 };
 
@@ -369,7 +369,7 @@ fn is_busy(e: &io::Error) -> bool {
 /// Marker carried in a *non-transient* [`io::Error`] when the local
 /// deadline budget hits zero: the retry loop returns it immediately
 /// (no further attempts can beat a deadline that already passed), and
-/// [`Client::request`] maps it to [`ClientError::Expired`].
+/// [`Client::pipeline`] maps it to [`ClientError::Expired`].
 #[derive(Debug)]
 struct ExpiredMarker;
 
@@ -457,7 +457,7 @@ impl Client {
     /// Store `sketch` under `name`, replacing any existing sketch.
     pub fn put(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), ClientError> {
         let request = Request::Put { name: name.to_string(), sketch: format::encode(sketch) };
-        match self.request(&request)? {
+        match self.call(&request)? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other, name)),
         }
@@ -518,7 +518,7 @@ impl Client {
 
     /// Fetch the sketch stored under `name`.
     pub fn get(&mut self, name: &str) -> Result<HyperMinHash, ClientError> {
-        match self.request(&Request::Get { name: name.to_string() })? {
+        match self.call(&Request::Get { name: name.to_string() })? {
             Response::Sketch(bytes) => Ok(format::decode(&bytes)?),
             other => Err(unexpected(other, name)),
         }
@@ -528,7 +528,7 @@ impl Client {
     /// absent).
     pub fn merge(&mut self, name: &str, sketch: &HyperMinHash) -> Result<(), ClientError> {
         let request = Request::Merge { name: name.to_string(), sketch: format::encode(sketch) };
-        match self.request(&request)? {
+        match self.call(&request)? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other, name)),
         }
@@ -537,7 +537,7 @@ impl Client {
     /// Cardinality estimate of the sketch under `name`, computed
     /// server-side.
     pub fn card(&mut self, name: &str) -> Result<f64, ClientError> {
-        match self.request(&Request::Card { name: name.to_string() })? {
+        match self.call(&Request::Card { name: name.to_string() })? {
             Response::Value(v) => Ok(v),
             other => Err(unexpected(other, name)),
         }
@@ -546,17 +546,9 @@ impl Client {
     /// Jaccard estimate between the sketches under `a` and `b`.
     pub fn jaccard(&mut self, a: &str, b: &str) -> Result<f64, ClientError> {
         let request = Request::Jaccard { a: a.to_string(), b: b.to_string() };
-        match self.request(&request)? {
+        match self.call(&request)? {
             Response::Value(v) => Ok(v),
             other => Err(unexpected(other, a)),
-        }
-    }
-
-    /// Names of every stored sketch.
-    pub fn list(&mut self) -> Result<Vec<String>, ClientError> {
-        match self.request(&Request::List)? {
-            Response::Names(names) => Ok(names),
-            other => Err(unexpected(other, "")),
         }
     }
 
@@ -567,7 +559,7 @@ impl Client {
     /// always answers `partial: false`; a router sets it when a shard
     /// was unreachable and the page is missing that shard's names.
     pub fn list_page(&mut self, after: &str) -> Result<(Vec<String>, bool), ClientError> {
-        match self.request(&Request::ListPage { after: after.to_string() })? {
+        match self.call(&Request::ListPage { after: after.to_string() })? {
             Response::NamesPage { names, partial } => Ok((names, partial)),
             other => Err(unexpected(other, after)),
         }
@@ -577,7 +569,7 @@ impl Client {
     /// rebalance release step; NOT_FOUND means this replica never held
     /// (or already released) the name.
     pub fn delete(&mut self, name: &str) -> Result<(), ClientError> {
-        match self.request(&Request::Delete { name: name.to_string() })? {
+        match self.call(&Request::Delete { name: name.to_string() })? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other, name)),
         }
@@ -586,7 +578,7 @@ impl Client {
     /// The server's health snapshot (queue depth, shed count, fsck
     /// status, read-only flag).
     pub fn health(&mut self) -> Result<Health, ClientError> {
-        match self.request(&Request::Health)? {
+        match self.call(&Request::Health)? {
             Response::Health(h) => Ok(h),
             other => Err(unexpected(other, "")),
         }
@@ -603,7 +595,7 @@ impl Client {
     /// read-repair. A page shorter than
     /// [`crate::proto::MAX_SCRUB_PAGE`] is the last page.
     pub fn scrub(&mut self, trigger: bool, after: &str) -> Result<ScrubReport, ClientError> {
-        match self.request(&Request::Scrub { trigger, after: after.to_string() })? {
+        match self.call(&Request::Scrub { trigger, after: after.to_string() })? {
             Response::Scrub(report) => Ok(report),
             other => Err(unexpected(other, after)),
         }
@@ -611,7 +603,7 @@ impl Client {
 
     /// Ask the daemon to drain and exit.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.request(&Request::Shutdown)? {
+        match self.call(&Request::Shutdown)? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other, "")),
         }
@@ -622,7 +614,7 @@ impl Client {
     /// starts at the beginning). A page shorter than
     /// [`crate::proto::MAX_DIGEST_ENTRIES`] is the last page.
     pub fn digests(&mut self, after: &str) -> Result<Vec<DigestEntry>, ClientError> {
-        match self.request(&Request::Digest { after: after.to_string() })? {
+        match self.call(&Request::Digest { after: after.to_string() })? {
             Response::Digests(entries) => Ok(entries),
             other => Err(unexpected(other, after)),
         }
@@ -634,7 +626,7 @@ impl Client {
     /// remainder. An entry with an empty payload means the name vanished
     /// since the digest was taken.
     pub fn sync(&mut self, names: &[String]) -> Result<Vec<SyncEntry>, ClientError> {
-        match self.request(&Request::Sync { names: names.to_vec() })? {
+        match self.call(&Request::Sync { names: names.to_vec() })? {
             Response::Sketches(entries) => Ok(entries),
             other => Err(unexpected(other, "")),
         }
@@ -648,7 +640,7 @@ impl Client {
     /// local panic.
     pub fn merge_raw(&mut self, name: &str, payload: &[u8]) -> Result<(), ClientError> {
         let request = Request::Merge { name: name.to_string(), sketch: payload.to_vec() };
-        match self.request(&request)? {
+        match self.call(&request)? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other, name)),
         }
@@ -660,7 +652,7 @@ impl Client {
     /// happens at the receiving server.
     pub fn put_raw(&mut self, name: &str, payload: &[u8]) -> Result<(), ClientError> {
         let request = Request::Put { name: name.to_string(), sketch: payload.to_vec() };
-        match self.request(&request)? {
+        match self.call(&request)? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other, name)),
         }
@@ -670,7 +662,7 @@ impl Client {
     /// router's pass-through path (a forwarded GET need not pay a
     /// decode/re-encode just to move bytes).
     pub fn get_raw(&mut self, name: &str) -> Result<Vec<u8>, ClientError> {
-        match self.request(&Request::Get { name: name.to_string() })? {
+        match self.call(&Request::Get { name: name.to_string() })? {
             Response::Sketch(bytes) => Ok(bytes),
             other => Err(unexpected(other, name)),
         }
@@ -698,7 +690,7 @@ impl Client {
             seed,
             items: items.to_vec(),
         };
-        match self.request(&request)? {
+        match self.call(&request)? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other, name)),
         }
@@ -726,10 +718,11 @@ impl Client {
     /// kernel buffers).
     ///
     /// Transient failures retry the *whole batch* under the configured
-    /// backoff policy, which is safe for the same reason single-op
-    /// retries are: every operation is idempotent. A pinned deadline
-    /// (or [`ClientOptions::op_budget`]) stamps each attempt's
-    /// remaining budget on every frame of the batch.
+    /// backoff policy, which is safe because every operation is
+    /// idempotent. A pinned deadline (or [`ClientOptions::op_budget`])
+    /// stamps each attempt's remaining budget on every frame of the
+    /// batch. Every single-op method is a pipeline of one, so this is
+    /// the client's only exchange path.
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         if requests.is_empty() {
             return Ok(Vec::new());
@@ -748,19 +741,22 @@ impl Client {
         } else {
             None
         };
+        // Clone per call: `run_gated` consumes jitter state; cloning
+        // keeps each call's schedule starting from the policy's seed,
+        // deterministic under test.
         let mut retry = self.opts.retry.clone();
         let result = retry.run_gated(
             |_attempt| {
-                let bodies = if let Some(bodies) = &flat_bodies {
-                    bodies.clone()
-                } else {
-                    let d = deadline
-                        .expect("invariant: flat_bodies is None only when a deadline is set");
-                    let Some(ms) = remaining_budget_ms(d) else {
-                        return Err(expired_error());
-                    };
-                    requests.iter().map(|r| encode_request_budget(r, ms)).collect()
+                if let Some(bodies) = &flat_bodies {
+                    return self.exchange_pipelined(bodies);
+                }
+                let d =
+                    deadline.expect("invariant: flat_bodies is None only when a deadline is set");
+                let Some(ms) = remaining_budget_ms(d) else {
+                    return Err(expired_error());
                 };
+                let bodies: Vec<Vec<u8>> =
+                    requests.iter().map(|r| encode_request_budget(r, ms)).collect();
                 self.exchange_pipelined(&bodies)
             },
             || match &budget {
@@ -769,138 +765,36 @@ impl Client {
             },
         );
         match result {
-            Ok(frames) => {
+            Ok(replies) => {
                 // One deposit per wire exchange, not per frame: the
                 // budget prices exchanges, and a batch is one exchange.
+                // The transport worked and the server answered, whatever
+                // the answers say about the sketches.
                 if let Some(b) = &budget {
                     b.record_success();
                 }
-                let mut replies = Vec::with_capacity(frames.len());
-                for frame in &frames {
-                    match decode_response(frame) {
-                        Ok(resp) => replies.push(resp),
-                        Err(e) => {
-                            // An unparseable reply poisons the stream;
-                            // reconnect next call rather than guessing
-                            // at framing.
-                            self.conn = None;
-                            return Err(ClientError::BadReply(e.to_string()));
-                        }
-                    }
-                }
-                Ok(replies)
-            }
-            Err(e) if is_busy(&e) => Err(ClientError::Busy),
-            Err(e) if is_expired(&e) => Err(ClientError::Expired),
-            Err(e) if is_budget_denial(&e) => Err(ClientError::RetryBudgetExhausted),
-            Err(e) => Err(ClientError::Io(e)),
-        }
-    }
-
-    /// Send one request, retrying transient transport failures and BUSY
-    /// sheds under the configured backoff policy. When a deadline is
-    /// pinned (or [`ClientOptions::op_budget`] set), every attempt
-    /// stamps its *remaining* budget on the wire and the call expires
-    /// locally once it hits zero; when a shared [`RetryBudget`] is
-    /// configured, each retry (never the first attempt) must buy a
-    /// token.
-    fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let deadline =
-            self.deadline.or_else(|| self.opts.op_budget.map(|b| Instant::now() + b));
-        let budget = self.opts.budget.clone();
-        // Without a deadline the body is attempt-invariant: encode once.
-        let flat_body = if deadline.is_none() {
-            Some(encode_request_budget(request, 0))
-        } else {
-            None
-        };
-        // Clone per call: `run_gated` consumes jitter state; cloning
-        // keeps each call's schedule starting from the policy's seed,
-        // deterministic under test.
-        let mut retry = self.opts.retry.clone();
-        let result = retry.run_gated(
-            |_attempt| {
-                let body = if let Some(body) = &flat_body {
-                    body.clone()
-                } else {
-                    let d = deadline
-                        .expect("invariant: flat_body is None only when a deadline is set");
-                    let Some(ms) = remaining_budget_ms(d) else {
-                        return Err(expired_error());
-                    };
-                    encode_request_budget(request, ms)
-                };
-                self.exchange(&body)
-            },
-            || match &budget {
-                Some(b) if !b.try_spend() => Err(budget_error()),
-                _ => Ok(()),
-            },
-        );
-        match result {
-            Ok(frame) => {
-                // The transport worked and the server answered: that is
-                // the success a retry budget regenerates from, whatever
-                // the answer says about the sketch.
-                if let Some(b) = &budget {
-                    b.record_success();
-                }
-                self.interpret(&frame)
-            }
-            Err(e) if is_busy(&e) => Err(ClientError::Busy),
-            Err(e) if is_expired(&e) => Err(ClientError::Expired),
-            Err(e) if is_budget_denial(&e) => Err(ClientError::RetryBudgetExhausted),
-            Err(e) => Err(ClientError::Io(e)),
-        }
-    }
-
-    /// One wire exchange. Any failure drops the cached connection so the
-    /// next attempt reconnects from scratch — half-exchanged streams are
-    /// never reused. Disconnect shapes the kernel reports under
-    /// non-transient kinds are reclassified here (see
-    /// [`reclassify_disconnect`]) so they ride the retry loop.
-    fn exchange(&mut self, body: &[u8]) -> io::Result<Vec<u8>> {
-        let result = self.try_exchange(body).map_err(reclassify_disconnect);
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
-    }
-
-    fn try_exchange(&mut self, body: &[u8]) -> io::Result<Vec<u8>> {
-        let conn = self.ensure_conn()?;
-        write_frame(conn, body)?;
-        conn.flush()?;
-        match read_frame(conn, MAX_FRAME_LEN) {
-            Ok(Some(frame)) => {
-                // A BUSY shed is followed by a server-side close; map it
-                // to a transient error so the retry loop backs off.
-                if decode_response(&frame) == Ok(Response::Busy) {
+                replies.into_iter().collect::<Result<Vec<_>, _>>().map_err(|e| {
+                    // An unparseable reply poisons the stream; reconnect
+                    // next call rather than guessing at framing.
                     self.conn = None;
-                    return Err(busy_error());
-                }
-                Ok(frame)
+                    ClientError::BadReply(e.to_string())
+                })
             }
-            // EOF before a reply: the server hung up (shed without a
-            // BUSY frame landing, or mid-restart). Transient.
-            Ok(None) => Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "server closed the connection before replying",
-            )),
-            Err(FrameError::Io(e)) => Err(e),
-            Err(FrameError::TooLarge { got, max }) => Err(io::Error::other(format!(
-                "server sent an oversized frame ({got} > {max} bytes)"
-            ))),
+            Err(e) if is_busy(&e) => Err(ClientError::Busy),
+            Err(e) if is_expired(&e) => Err(ClientError::Expired),
+            Err(e) if is_budget_denial(&e) => Err(ClientError::RetryBudgetExhausted),
+            Err(e) => Err(ClientError::Io(e)),
         }
     }
 
     /// One pipelined wire exchange: all request frames in one vectored
-    /// write, then every reply read back in order. Like [`exchange`],
-    /// any failure drops the cached connection — a half-drained pipeline
-    /// is never reused.
-    ///
-    /// [`exchange`]: Client::exchange
-    fn exchange_pipelined(&mut self, bodies: &[Vec<u8>]) -> io::Result<Vec<Vec<u8>>> {
+    /// write, then every reply read back in order and decoded. Any
+    /// failure drops the cached connection so the next attempt
+    /// reconnects from scratch — a half-drained pipeline is never
+    /// reused. Disconnect shapes the kernel reports under non-transient
+    /// kinds are reclassified here (see [`reclassify_disconnect`]) so
+    /// they ride the retry loop.
+    fn exchange_pipelined(&mut self, bodies: &[Vec<u8>]) -> io::Result<Vec<Decoded>> {
         let result = self.try_exchange_pipelined(bodies).map_err(reclassify_disconnect);
         if result.is_err() {
             self.conn = None;
@@ -908,22 +802,23 @@ impl Client {
         result
     }
 
-    fn try_exchange_pipelined(&mut self, bodies: &[Vec<u8>]) -> io::Result<Vec<Vec<u8>>> {
+    fn try_exchange_pipelined(&mut self, bodies: &[Vec<u8>]) -> io::Result<Vec<Decoded>> {
         let conn = self.ensure_conn()?;
         write_frames_vectored(conn, bodies)?;
-        let mut frames = Vec::with_capacity(bodies.len());
+        let mut replies = Vec::with_capacity(bodies.len());
         for drained in 0..bodies.len() {
             match read_frame(conn, MAX_FRAME_LEN) {
                 Ok(Some(frame)) => {
+                    let reply = decode_response(&frame);
                     // A BUSY shed precedes any frame processing, so it
                     // can only be the first reply — but check every slot
                     // so a misbehaving server still maps to a transient
                     // error instead of a confusing per-op result.
-                    if decode_response(&frame) == Ok(Response::Busy) {
+                    if matches!(reply, Ok(Response::Busy)) {
                         self.conn = None;
                         return Err(busy_error());
                     }
-                    frames.push(frame);
+                    replies.push(reply);
                 }
                 // EOF with replies outstanding: the server hung up (or
                 // poisoned the tail for a frame we believed well-formed).
@@ -947,7 +842,7 @@ impl Client {
                 }
             }
         }
-        Ok(frames)
+        Ok(replies)
     }
 
     /// Cached connection, dialing a fresh one if needed.
@@ -962,19 +857,17 @@ impl Client {
         Ok(self.conn.as_mut().expect("invariant: connection established above"))
     }
 
-    /// Map a decoded reply onto the typed result surface.
-    fn interpret(&mut self, frame: &[u8]) -> Result<Response, ClientError> {
-        match decode_response(frame) {
-            Ok(resp) => typed_response(resp),
-            Err(e) => {
-                // An unparseable reply poisons the stream; reconnect next
-                // call rather than guessing at framing.
-                self.conn = None;
-                Err(ClientError::BadReply(e.to_string()))
-            }
-        }
+    /// Send one request as a pipeline of one and map its reply through
+    /// [`typed_response`]: the single-op methods' only exchange path.
+    fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
+        let reply = self.pipeline(std::slice::from_ref(request))?.pop();
+        typed_response(reply.expect("invariant: a pipeline answers every request it sends"))
     }
 }
+
+/// One reply off the wire, decoded but not yet judged: an undecodable
+/// reply fails the whole pipeline as [`ClientError::BadReply`].
+type Decoded = Result<Response, ProtoError>;
 
 /// Map one decoded reply onto the typed result surface the single-shot
 /// [`Client`] methods use: READ_ONLY, EXPIRED, NOT_FOUND and server
@@ -1213,11 +1106,6 @@ impl FailoverClient {
     /// Jaccard estimate from whichever replica answers.
     pub fn jaccard(&mut self, a: &str, b: &str) -> Result<f64, ClientError> {
         self.with_failover(|c| c.jaccard(a, b))
-    }
-
-    /// Stored names from whichever replica answers.
-    pub fn list(&mut self) -> Result<Vec<String>, ClientError> {
-        self.with_failover(|c| c.list())
     }
 
     /// One page of stored names from whichever replica answers. Note the

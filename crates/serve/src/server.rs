@@ -572,7 +572,6 @@ fn handle_request(shared: &Shared, request: Request) -> (Response, Disposition) 
             (Ok(ea), Ok(eb)) => jaccard_op(&ea, &eb).unwrap_or_else(bad_sketch),
             (Err(resp), _) | (_, Err(resp)) => resp,
         },
-        Request::List => Response::Names(shared.store().names().map(str::to_string).collect()),
         Request::ListPage { after } => {
             // A single daemon always answers its whole page; `partial`
             // is a router-side marker for missing shards.

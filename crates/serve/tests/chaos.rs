@@ -26,7 +26,7 @@ use hmh_hash::splitmix::SplitMix64;
 use hmh_hash::RandomOracle;
 use hmh_serve::proto::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    Request, Response, MAX_BATCH_ITEMS, MAX_FRAME_LEN, MAX_ITEM_LEN,
+    Request, Response, MAX_BATCH_ITEMS, MAX_FRAME_LEN, MAX_ITEM_LEN, PROTO_VERSION,
 };
 use hmh_serve::{serve, Client, ClientError, ClientOptions, ErrCode, ServeOptions, ServerHandle};
 use hmh_store::{RetryPolicy, SketchStore, StoreOptions};
@@ -191,6 +191,33 @@ fn lying_length_prefix_is_rejected_without_allocation() {
 }
 
 #[test]
+fn retired_list_opcode_is_unknown_and_the_worker_survives() {
+    let dir = TempDir::new("retired-list");
+    // One worker: had the op-6 frame cost it, nothing would answer the
+    // HEALTH on the second connection.
+    let handle = start(&dir, 1, 8);
+    let mut c = client(&handle);
+    c.put("kept", &sketch(0, 500)).unwrap();
+    drop(c);
+
+    let mut conn = raw(&handle);
+    write_frame(&mut conn, &[PROTO_VERSION, 6]).unwrap();
+    let body = read_frame(&mut conn, MAX_FRAME_LEN).unwrap().expect("typed reply");
+    match decode_response(&body).unwrap() {
+        Response::Err { code: ErrCode::UnknownOp, .. } => {}
+        other => panic!("retired LIST (op 6) must be UNKNOWN_OP, got {other:?}"),
+    }
+    assert!(
+        matches!(read_frame(&mut conn, MAX_FRAME_LEN), Ok(None)),
+        "the server closes the connection after the typed error"
+    );
+
+    let health = client(&handle).health().unwrap();
+    assert_eq!(health.sketches, 1, "{health:?}");
+    handle.join();
+}
+
+#[test]
 fn slow_loris_costs_a_deadline_not_a_worker() {
     let dir = TempDir::new("loris");
     let handle = start(&dir, 2, 8);
@@ -292,7 +319,7 @@ fn overload_sheds_with_busy_and_recovers() {
             ..ClientOptions::default()
         },
     );
-    match impatient.list() {
+    match impatient.list_page("") {
         Err(ClientError::Busy | ClientError::Io(_)) => {}
         other => panic!("expected Busy under storm, got {other:?}"),
     }
@@ -363,7 +390,8 @@ fn shutdown_drains_queued_connections_before_exit() {
     let queued: Vec<TcpStream> = (0..2)
         .map(|_| {
             let mut conn = raw(&handle);
-            write_frame(&mut conn, &encode_request(&Request::List)).unwrap();
+            write_frame(&mut conn, &encode_request(&Request::ListPage { after: String::new() }))
+                .unwrap();
             conn
         })
         .collect();
@@ -375,7 +403,7 @@ fn shutdown_drains_queued_connections_before_exit() {
         let body = read_frame(&mut conn, MAX_FRAME_LEN)
             .expect("queued connection answered during drain")
             .expect("reply frame, not EOF");
-        assert!(matches!(decode_response(&body).unwrap(), Response::Names(_)));
+        assert!(matches!(decode_response(&body).unwrap(), Response::NamesPage { .. }));
     }
     drop(staller);
     handle.join();

@@ -33,6 +33,7 @@ use hmh_hash::splitmix::SplitMix64;
 use hmh_replica::{sync_with_peer, AntiEntropy, ReplicaOptions};
 use hmh_serve::proto::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, MAX_FRAME_LEN,
+    MAX_LIST_NAMES,
 };
 use hmh_serve::{
     serve, Client, ClientError, ClientOptions, ErrCode, FailoverClient, PeerState, ServeOptions,
@@ -123,9 +124,20 @@ fn exchange(addr: SocketAddr, request: &Request) -> Response {
 /// Every stored sketch on the daemon, as raw encoded bytes — the
 /// byte-identical convergence oracle.
 fn encoded_state(addr: SocketAddr) -> BTreeMap<String, Vec<u8>> {
-    let Response::Names(names) = exchange(addr, &Request::List) else {
-        panic!("LIST did not answer names");
-    };
+    let mut names: Vec<String> = Vec::new();
+    loop {
+        let after = names.last().cloned().unwrap_or_default();
+        let Response::NamesPage { names: page, partial: false } =
+            exchange(addr, &Request::ListPage { after })
+        else {
+            panic!("LIST_PAGE did not answer a whole page");
+        };
+        let last = page.len() < MAX_LIST_NAMES;
+        names.extend(page);
+        if last {
+            break;
+        }
+    }
     names
         .into_iter()
         .map(|name| {

@@ -477,7 +477,7 @@ impl<B: Backend> SketchStore<B> {
     /// One page of stored names: up to `limit` names strictly after
     /// `after` in sorted order (empty `after` starts from the
     /// beginning). The listing analogue of [`Self::digest_page`] — the
-    /// cursor contract is identical, so paginated LIST over the wire
+    /// cursor contract is identical, so LIST_PAGE over the wire
     /// inherits the same termination proof (each page advances the
     /// cursor strictly, names are finite).
     pub fn names_page(&self, after: &str, limit: usize) -> Vec<String> {
